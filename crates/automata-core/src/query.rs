@@ -222,6 +222,9 @@ pub fn compile_set<Q: MultiCompile>(queries: &[Q]) -> Q::CompiledSet {
 /// Per query, the outcome equals [`run_stream`] of that query alone over
 /// the same events (property-tested in `tests/multiquery.rs`); the point of
 /// the set is that the stream is consumed **once** for all M answers.
+/// Events are buffered into fixed 4 Ki-event slices (the byte pipeline's
+/// slice length) and handed to [`StreamRun::step_slice`], so every backend
+/// runs its bulk kernel.
 ///
 /// ```
 /// use automata_core::query;
@@ -259,11 +262,20 @@ where
     E: IntoIterator<Item = TaggedSymbol>,
 {
     let mut run = set.start_set();
+    let mut chunk: Vec<TaggedSymbol> = Vec::with_capacity(RUN_MULTI_CHUNK);
     for event in events {
-        run.step(event);
+        chunk.push(event);
+        if chunk.len() == RUN_MULTI_CHUNK {
+            run.step_slice(&chunk);
+            chunk.clear();
+        }
     }
+    run.step_slice(&chunk);
     run.outcomes()
 }
+
+/// Events [`run_multi`] buffers per [`StreamRun::step_slice`] call.
+const RUN_MULTI_CHUNK: usize = 4 * 1024;
 
 /// Lowers automaton `a` into its dense-table execution artifact — the
 /// model-generic entry point to every [`Compile`] implementation. The

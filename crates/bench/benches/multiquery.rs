@@ -8,7 +8,9 @@
 //! The acceptance bar gated by CI: at M = 16 the one-pass path must be at
 //! least 2× the sequential path on the same run (`check_bench.py --filter
 //! onepass --sibling onepass=sequential --min-speedup 2` against the
-//! checked-in `BENCH_multiquery.json`).
+//! checked-in `BENCH_multiquery.json`). The `e19_backend` group times the
+//! same pipeline at M = 4 on each backend, forced with
+//! `QuerySet::with_backend`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nested_words_suite::nwa_xml::generate::{generate_document, DocumentConfig};
@@ -111,6 +113,26 @@ fn bench_multiquery(c: &mut Criterion) {
                     .map(|cq| run_streaming_reader(cq, xml.as_bytes(), &ab).unwrap())
                     .collect::<Vec<_>>()
             })
+        });
+    }
+    group.finish();
+
+    // The same one-pass pipeline at M = 4 with each backend forced, so the
+    // product table and the lockstep kernel each have their own row. The
+    // ids avoid `onepass`, which the CI gate pairs with `sequential`.
+    let mut group = c.benchmark_group("e19_backend");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    group.throughput(Throughput::Bytes(xml.len() as u64));
+    for (name, backend) in [
+        ("product", QuerySetBackend::Product),
+        ("lockstep", QuerySetBackend::Lockstep),
+    ] {
+        let set = QuerySet::with_backend(&pool[..4], backend);
+        group.bench_with_input(BenchmarkId::new(name, 4), &xml, |b, xml| {
+            b.iter(|| run_multi_streaming_reader(&set, xml.as_bytes(), &ab).unwrap())
         });
     }
     group.finish();

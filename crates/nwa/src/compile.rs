@@ -469,6 +469,224 @@ impl BatchAcceptor for CompiledNwa {
     }
 }
 
+// --------------------------------------------------------------------------
+// Lockstep replay: one decoded slice, many member engines
+// --------------------------------------------------------------------------
+
+// The frame array of a lockstep member is `[0, dump, pending_row, frames…]`:
+// non-returns read the zero slot (adding nothing to the table offset),
+// non-calls write their would-be push into the dump slot (never read), and
+// a return on an empty stack reads the member's own `pending_row`. The
+// frame at stack height `h ≥ 1` lives at `PENDING_SLOT + h`.
+const ZERO_SLOT: u32 = 0;
+const DUMP_SLOT: u32 = 1;
+const PENDING_SLOT: u32 = 2;
+
+/// One event decoded once for every member of a lockstep set: which table
+/// column it lands in and which frame slots it reads and writes. None of it
+/// depends on a member's state.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameOp {
+    /// In-row offset `kind·σ + a`.
+    off: u32,
+    /// The symbol `a`: the in-row offset of the would-be push.
+    a: u32,
+    /// Slot read into the table offset: the popped frame for a return
+    /// (`PENDING_SLOT` on an empty stack), `ZERO_SLOT` otherwise.
+    rd: u32,
+    /// Slot the would-be push lands in: the new frame for a call,
+    /// `DUMP_SLOT` otherwise.
+    wr: u32,
+}
+
+/// The half of a lockstep run that depends on the event stream alone:
+/// stack height, peak and step count kept once for the whole set, plus a
+/// reused buffer holding the current slice decoded into [`FrameOp`]s.
+#[derive(Debug)]
+pub(crate) struct FramePlan {
+    sigma: u32,
+    height: u32,
+    peak: u32,
+    steps: usize,
+    ops: Vec<FrameOp>,
+}
+
+impl FramePlan {
+    /// An empty-stack plan for members compiled over `sigma` symbols.
+    pub(crate) fn new(sigma: u32) -> FramePlan {
+        FramePlan {
+            sigma,
+            height: 0,
+            peak: 0,
+            steps: 0,
+            ops: Vec::new(),
+        }
+    }
+
+    pub(crate) fn height(&self) -> usize {
+        self.height as usize
+    }
+
+    pub(crate) fn peak(&self) -> usize {
+        self.peak as usize
+    }
+
+    pub(crate) fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Frame-array length every member needs to replay what was decoded.
+    fn frames_len(&self) -> usize {
+        (PENDING_SLOT + 1 + self.peak) as usize
+    }
+
+    /// Rejects inputs whose stack could outgrow the `u32` frame slots.
+    fn check_depth(&self, events: usize) {
+        assert!(
+            (self.height as usize).saturating_add(events) < (u32::MAX - PENDING_SLOT) as usize,
+            "stack depth exceeds the lockstep frame space"
+        );
+    }
+
+    /// Decodes one event against the running height, with branch-free
+    /// selects. The symbol check is a real `assert!`: it is paid once per
+    /// event for all members, and an out-of-alphabet symbol would otherwise
+    /// index into a neighbouring band and give a silently wrong verdict.
+    #[inline(always)]
+    fn decode_event(sigma: u32, height: &mut u32, event: TaggedSymbol) -> FrameOp {
+        let a = event.symbol().index() as u32;
+        assert!(a < sigma, "event symbol outside the query set's alphabet");
+        let is_call = matches!(event, TaggedSymbol::Call(_));
+        let is_ret = matches!(event, TaggedSymbol::Return(_));
+        let kind = u32::from(matches!(event, TaggedSymbol::Internal(_))) + 2 * u32::from(is_ret);
+        let h = *height;
+        let op = FrameOp {
+            off: kind * sigma + a,
+            a,
+            rd: if is_ret { PENDING_SLOT + h } else { ZERO_SLOT },
+            wr: if is_call {
+                PENDING_SLOT + 1 + h
+            } else {
+                DUMP_SLOT
+            },
+        };
+        *height = h + u32::from(is_call) - u32::from(is_ret && h > 0);
+        op
+    }
+
+    /// Decodes a single event, updating height, peak and steps.
+    pub(crate) fn decode_one(&mut self, event: TaggedSymbol) -> FrameOp {
+        self.check_depth(1);
+        let op = Self::decode_event(self.sigma, &mut self.height, event);
+        self.peak = self.peak.max(self.height);
+        self.steps += 1;
+        op
+    }
+
+    /// Decodes a whole slice into the reused op buffer, updating height,
+    /// peak and steps as if every event had been decoded one at a time.
+    pub(crate) fn decode(&mut self, events: &[TaggedSymbol]) {
+        self.check_depth(events.len());
+        let (sigma, mut height, mut peak) = (self.sigma, self.height, self.peak);
+        self.ops.clear();
+        self.ops.extend(events.iter().map(|&event| {
+            let op = Self::decode_event(sigma, &mut height, event);
+            peak = peak.max(height);
+            op
+        }));
+        self.height = height;
+        self.peak = peak;
+        self.steps += events.len();
+    }
+}
+
+/// One member's half of a lockstep run: its linear state (a premultiplied
+/// row offset) and its frame array `[0, dump, pending_row, frames…]`.
+#[derive(Debug)]
+pub(crate) struct FrameMember {
+    state: u32,
+    frames: Vec<u32>,
+}
+
+impl CompiledNwa {
+    /// A fresh lockstep member: initial state, empty stack.
+    pub(crate) fn frame_member(&self) -> FrameMember {
+        FrameMember {
+            state: self.initial,
+            frames: vec![0, 0, self.pending_row],
+        }
+    }
+
+    pub(crate) fn member_accepting(&self, member: &FrameMember) -> bool {
+        self.accepting[(member.state / self.stride) as usize]
+    }
+
+    /// The lockstep member step: two loads and a store, every index
+    /// bounds-checked. The stack read `frames[rd]` does not depend on the
+    /// state, so the only serial chain is `state → table → state`.
+    #[inline(always)]
+    fn frame_step(&self, state: &mut u32, frames: &mut [u32], op: FrameOp) {
+        frames[op.wr as usize] = self.push[(*state + op.a) as usize];
+        *state = self.table[(*state + op.off + frames[op.rd as usize]) as usize];
+    }
+
+    /// Advances every member by one decoded event: the direct path behind
+    /// a lockstep set's single-event `step`.
+    pub(crate) fn step_members(
+        engines: &[CompiledNwa],
+        members: &mut [FrameMember],
+        plan: &FramePlan,
+        op: FrameOp,
+    ) {
+        for (engine, member) in engines.iter().zip(members) {
+            member.frames.resize(plan.frames_len(), 0);
+            engine.frame_step(&mut member.state, &mut member.frames, op);
+        }
+    }
+
+    /// Replays the plan's decoded slice through every member, four at a
+    /// time: the members' load chains are independent, so interleaving
+    /// them overlaps one member's table-load latency with the others'
+    /// work. Each frame array is grown to the slice's peak first.
+    pub(crate) fn replay_members(
+        engines: &[CompiledNwa],
+        members: &mut [FrameMember],
+        plan: &FramePlan,
+    ) {
+        for member in members.iter_mut() {
+            member.frames.resize(plan.frames_len(), 0);
+        }
+        let (engine_groups, engine_rest) = engines.as_chunks::<4>();
+        let (member_groups, member_rest) = members.as_chunks_mut::<4>();
+        for (e, m) in engine_groups.iter().zip(member_groups) {
+            Self::replay(e, m, &plan.ops);
+        }
+        for (e, m) in engine_rest.iter().zip(member_rest) {
+            Self::replay(std::array::from_ref(e), std::array::from_mut(m), &plan.ops);
+        }
+    }
+
+    /// The lockstep kernel over a group of `N` members, states held in
+    /// locals for the whole slice.
+    #[inline(always)]
+    fn replay<const N: usize>(
+        engines: &[CompiledNwa; N],
+        members: &mut [FrameMember; N],
+        ops: &[FrameOp],
+    ) {
+        let mut states: [u32; N] = std::array::from_fn(|i| members[i].state);
+        let frames = members.each_mut().map(|m| m.frames.as_mut_slice());
+        for &op in ops {
+            for i in 0..N {
+                engines[i].frame_step(&mut states[i], frames[i], op);
+            }
+        }
+        for (member, state) in members.iter_mut().zip(states) {
+            member.state = state;
+        }
+    }
+}
+
 impl Compile for Nwa {
     type Compiled = CompiledNwa;
 

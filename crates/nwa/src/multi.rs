@@ -14,10 +14,19 @@
 //!   all M queries; the trade is table size, which multiplies across
 //!   members (`∏ nᵢ` states, and the compiled fused table is quadratic in
 //!   that).
-//! * **Lockstep** — the members compile individually and their M runs
-//!   advance back to back per event slice. Linear space, M dependent table
-//!   lookups per event; the per-event cost still amortizes the dominant
-//!   tokenization pass, which is shared either way.
+//! * **Lockstep** — the members compile individually and share one run.
+//!   Everything that depends only on the event stream is done once per
+//!   slice for the whole set: each event is decoded into its in-row offset
+//!   `kind·σ + a`, its symbol `a`, a frame slot to read (the popped frame,
+//!   the pending-return sentinel on an empty stack, a zero slot for
+//!   non-returns) and a frame slot to write (the new frame for a call, a
+//!   dump slot otherwise), and the set keeps the one stack height, peak and
+//!   step count. A member keeps only its linear state and a frame array
+//!   `[0, dump, pending_row, frames…]`, and replays the decoded slice as
+//!   `f[wr] = push[s + a]; s = table[s + off + f[rd]]`. The stack read is
+//!   off the `state → table → state` chain, so members run interleaved
+//!   four at a time and overlap their table loads. Linear space, M table
+//!   lookups per event.
 //!
 //! [`QuerySet::compile`] picks by a size heuristic: the product backend is
 //! taken exactly when its fused table would stay within
@@ -37,7 +46,7 @@
 
 use crate::automaton::Nwa;
 use crate::boolean;
-use crate::compile::{CompiledNwa, CompiledNwaLane, CompiledNwaRun};
+use crate::compile::{CompiledNwa, CompiledNwaLane, CompiledNwaRun, FrameMember, FramePlan};
 use automata_core::multi::MAX_QUERIES;
 use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
@@ -65,7 +74,8 @@ pub enum QuerySetBackend {
     /// One product automaton with per-state accept masks: a single table
     /// lookup per event decides all member queries.
     Product,
-    /// M individually compiled engines advanced back to back per event.
+    /// M individually compiled engines replaying one shared decode of the
+    /// event stream.
     Lockstep,
 }
 
@@ -231,11 +241,21 @@ impl QuerySet {
 // Runs
 // --------------------------------------------------------------------------
 
+/// The lockstep backend's run: the event-stream half (height, peak, steps
+/// and the decoded slice) once for the set, and per member only a linear
+/// state and a frame array.
+#[derive(Debug)]
+struct LockstepRun<'a> {
+    engines: &'a [CompiledNwa],
+    plan: FramePlan,
+    members: Vec<FrameMember>,
+}
+
 /// The per-backend run state of a [`QuerySetRunState`].
 #[derive(Debug)]
 enum RunInner<'a> {
     Product(CompiledNwaRun<'a>),
-    Lockstep(Vec<CompiledNwaRun<'a>>),
+    Lockstep(LockstepRun<'a>),
 }
 
 /// One in-progress run of a [`QuerySet`] over a stream: all M member
@@ -251,10 +271,9 @@ impl StreamRun for QuerySetRunState<'_> {
     fn step(&mut self, event: TaggedSymbol) {
         match &mut self.inner {
             RunInner::Product(run) => run.step(event),
-            RunInner::Lockstep(runs) => {
-                for run in runs {
-                    run.step(event);
-                }
+            RunInner::Lockstep(run) => {
+                let op = run.plan.decode_one(event);
+                CompiledNwa::step_members(run.engines, &mut run.members, &run.plan, op);
             }
         }
     }
@@ -262,12 +281,12 @@ impl StreamRun for QuerySetRunState<'_> {
     fn step_slice(&mut self, events: &[TaggedSymbol]) {
         match &mut self.inner {
             RunInner::Product(run) => run.step_slice(events),
-            // Engines outer, events inner: each member gets the compiled
-            // register-resident slice loop over the whole buffered run.
-            RunInner::Lockstep(runs) => {
-                for run in runs {
-                    run.step_slice(events);
-                }
+            // Decode once, replay per member: the slice is decoded into
+            // the set's plan a single time, then every member replays it
+            // through the frame kernel, four members interleaved.
+            RunInner::Lockstep(run) => {
+                run.plan.decode(events);
+                CompiledNwa::replay_members(run.engines, &mut run.members, &run.plan);
             }
         }
     }
@@ -278,31 +297,32 @@ impl StreamRun for QuerySetRunState<'_> {
     fn is_accepting(&self) -> bool {
         match &self.inner {
             RunInner::Product(run) => run.is_accepting(),
-            RunInner::Lockstep(runs) => runs.iter().all(StreamRun::is_accepting),
+            RunInner::Lockstep(run) => run
+                .engines
+                .iter()
+                .zip(&run.members)
+                .all(|(engine, member)| engine.member_accepting(member)),
         }
     }
 
     fn stack_height(&self) -> usize {
-        // Stack height is a function of the event stream alone (one frame
-        // per currently open call, whatever the states), so any member run
-        // reports it for the whole set.
         match &self.inner {
             RunInner::Product(run) => run.stack_height(),
-            RunInner::Lockstep(runs) => runs[0].stack_height(),
+            RunInner::Lockstep(run) => run.plan.height(),
         }
     }
 
     fn peak_memory(&self) -> usize {
         match &self.inner {
             RunInner::Product(run) => run.peak_memory(),
-            RunInner::Lockstep(runs) => runs[0].peak_memory(),
+            RunInner::Lockstep(run) => run.plan.peak(),
         }
     }
 
     fn steps(&self) -> usize {
         match &self.inner {
             RunInner::Product(run) => run.steps(),
-            RunInner::Lockstep(runs) => runs[0].steps(),
+            RunInner::Lockstep(run) => run.plan.steps(),
         }
     }
 }
@@ -320,9 +340,12 @@ impl QuerySetRun for QuerySetRunState<'_> {
                 };
                 masks[(run.state / run.tables.stride) as usize]
             }
-            RunInner::Lockstep(runs) => runs.iter().enumerate().fold(0u64, |acc, (i, run)| {
-                acc | (u64::from(run.is_accepting()) << i)
-            }),
+            RunInner::Lockstep(run) => run.engines.iter().zip(&run.members).enumerate().fold(
+                0u64,
+                |acc, (i, (engine, member))| {
+                    acc | (u64::from(engine.member_accepting(member)) << i)
+                },
+            ),
         }
     }
 
@@ -346,9 +369,11 @@ impl MultiAcceptor for QuerySet {
     fn start_set(&self) -> QuerySetRunState<'_> {
         let inner = match &self.backend {
             Backend::Product { engine, .. } => RunInner::Product(engine.start()),
-            Backend::Lockstep { engines } => {
-                RunInner::Lockstep(engines.iter().map(StreamAcceptor::start).collect())
-            }
+            Backend::Lockstep { engines } => RunInner::Lockstep(LockstepRun {
+                engines,
+                plan: FramePlan::new(self.sigma),
+                members: engines.iter().map(CompiledNwa::frame_member).collect(),
+            }),
         };
         QuerySetRunState { set: self, inner }
     }

@@ -13,7 +13,10 @@
 //! 3. **persistence** — `load(save(set)) == set` for both backends;
 //! 4. **combinators** — lowering an `expr::Query` tree respects boolean
 //!    semantics: `lower(a ∧ b)` accepts exactly when `lower(a)` and
-//!    `lower(b)` both accept, and likewise for `∨` / `¬`.
+//!    `lower(b)` both accept, and likewise for `∨` / `¬`;
+//! 5. **chunking-free** — however a stream is cut into `step_slice` calls
+//!    (with `step` mixed in), every observation at every seam is the one
+//!    event-by-event standalone runs make.
 //!
 //! Cases are drawn from the suite's seeded generators (no crates.io access,
 //! so no proptest); every failure is reproducible from the printed seed.
@@ -163,6 +166,154 @@ fn query_sets_round_trip_through_save_and_load() {
             }
         }
     }
+}
+
+/// A word deeper than 64 over the 2-symbol alphabet: stretches biased
+/// toward calls alternate with stretches biased toward returns, so the
+/// stack climbs past 64 open calls, drains to produce pending returns, and
+/// usually ends with pending calls.
+fn deep_word(len: usize, rng: &mut Prng) -> Vec<TaggedSymbol> {
+    (0..len)
+        .map(|i| {
+            let a = Symbol(rng.below(2) as u16);
+            let (p_call, p_ret) = if (i / 160) % 2 == 0 {
+                (0.7, 0.2)
+            } else {
+                (0.15, 0.75)
+            };
+            let x = rng.f64();
+            if x < p_call {
+                TaggedSymbol::Call(a)
+            } else if x < p_call + p_ret {
+                TaggedSymbol::Return(a)
+            } else {
+                TaggedSymbol::Internal(a)
+            }
+        })
+        .collect()
+}
+
+/// What a set must report after a prefix: the verdict mask, the
+/// conjunction view, stack height, peak stack and step count.
+type Observation = (u64, bool, usize, usize, usize);
+
+/// The reference observation after every prefix (index = prefix length),
+/// from one standalone `CompiledNwa` run per query stepped event by event.
+fn standalone_trace(queries: &[Nwa], events: &[TaggedSymbol]) -> Vec<Observation> {
+    let engines: Vec<CompiledNwa> = queries.iter().map(query::compile).collect();
+    let mut solo: Vec<_> = engines.iter().map(|e| e.start()).collect();
+    let observe = |solo: &[<CompiledNwa as StreamAcceptor>::Run<'_>]| {
+        let mask = solo
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (i, s)| m | (u64::from(s.is_accepting()) << i));
+        let conj = solo.iter().all(|s| s.is_accepting());
+        (
+            mask,
+            conj,
+            solo[0].stack_height(),
+            solo[0].peak_memory(),
+            solo[0].steps(),
+        )
+    };
+    let mut trace = vec![observe(&solo)];
+    for &event in events {
+        for s in &mut solo {
+            s.step(event);
+        }
+        trace.push(observe(&solo));
+    }
+    trace
+}
+
+/// How a word is cut into `step_slice` calls.
+#[derive(Debug, Clone, Copy)]
+enum Chunking {
+    Fixed(usize),
+    Whole,
+    /// Random piece lengths, single events sometimes through `step`.
+    Mixed,
+}
+
+/// The lockstep hot path: both backends fed through `step_slice` under
+/// every chunking (and `step` interleaved), at M on both sides of the
+/// four-member interleave, over words deeper than 64 whose pending calls
+/// and returns straddle slice seams — every observation at every seam
+/// equals the standalone `CompiledNwa` runs.
+#[test]
+fn slice_path_matches_standalone_runs_at_every_seam() {
+    let chunkings = [
+        Chunking::Fixed(1),
+        Chunking::Fixed(3),
+        Chunking::Fixed(64),
+        Chunking::Fixed(4096),
+        Chunking::Whole,
+        Chunking::Mixed,
+    ];
+    for seed in 0..prop_iters(2) as u64 {
+        let mut rng = Prng::new(seed.wrapping_add(0x5EA7));
+        // One word below the 4096 chunk, one past it.
+        let words = [deep_word(700, &mut rng), deep_word(4500, &mut rng)];
+        for m in [1usize, 3, 4, 5, 8, 16] {
+            let queries = random_queries(m, seed.wrapping_add(m as u64));
+            let backends: &[QuerySetBackend] = if m <= 4 {
+                &[QuerySetBackend::Product, QuerySetBackend::Lockstep]
+            } else {
+                &[QuerySetBackend::Lockstep]
+            };
+            for (wi, events) in words.iter().enumerate() {
+                let trace = standalone_trace(&queries, events);
+                assert!(trace.iter().any(|o| o.2 > 64), "word {wi} is not deep");
+                for &backend in backends {
+                    let set = QuerySet::with_backend(&queries, backend);
+                    for chunking in chunkings {
+                        let mut run = set.start_set();
+                        let mut at = 0;
+                        while at < events.len() {
+                            let len = match chunking {
+                                Chunking::Fixed(n) => n,
+                                Chunking::Whole => events.len(),
+                                Chunking::Mixed => 1 + rng.below(80),
+                            };
+                            let end = (at + len).min(events.len());
+                            if end - at == 1 && rng.bool(0.5) {
+                                run.step(events[at]);
+                            } else {
+                                run.step_slice(&events[at..end]);
+                            }
+                            at = end;
+                            let observed = (
+                                run.verdicts(),
+                                run.is_accepting(),
+                                run.stack_height(),
+                                run.peak_memory(),
+                                run.steps(),
+                            );
+                            assert_eq!(
+                                observed, trace[at],
+                                "seed {seed}, M={m}, {backend:?}, {chunking:?}, word {wi}, \
+                                 prefix {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An event outside the set's alphabet is refused in every build profile:
+/// the lockstep decode checks each symbol once for all members, where an
+/// unchecked one would index into a neighbouring band of the table.
+#[test]
+#[should_panic(expected = "event symbol outside the query set's alphabet")]
+fn lockstep_refuses_symbols_outside_the_alphabet() {
+    let set = QuerySet::with_backend(&random_queries(5, 1), QuerySetBackend::Lockstep);
+    let mut run = set.start_set();
+    run.step_slice(&[
+        TaggedSymbol::Call(Symbol(0)),
+        TaggedSymbol::Internal(Symbol(2)),
+    ]);
 }
 
 /// A random combinator tree over the document-query zoo.
