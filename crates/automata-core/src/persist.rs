@@ -442,10 +442,8 @@ impl<'a> Reader<'a> {
     /// by the remaining payload before anything is allocated, so a hostile
     /// length prefix cannot force an oversized allocation.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, PersistError> {
-        let len = self.get_len()?;
-        let bytes = self.take(len.checked_mul(4).ok_or(PersistError::Malformed {
-            context: "array length overflows",
-        })?)?;
+        let len = self.get_count(4)?;
+        let bytes = self.take(len * 4)?;
         Ok(bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
@@ -475,6 +473,28 @@ impl<'a> Reader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, PersistError> {
         let len = self.get_len()?;
         Ok(self.take(len)?.to_vec())
+    }
+
+    /// Reads the `u64` row count of a table whose rows, `row_bytes` each,
+    /// follow in the payload. The count is bounded by the remaining payload
+    /// before it is returned, so a hostile count cannot size an allocation
+    /// (`Vec`, `HashMap::with_capacity`) past the bytes that could fill it:
+    /// a count whose rows overrun the payload is
+    /// [`PersistError::Truncated`], one whose byte size overflows is
+    /// [`PersistError::Malformed`].
+    pub fn get_count(&mut self, row_bytes: usize) -> Result<usize, PersistError> {
+        let len = self.get_len()?;
+        let need = len.checked_mul(row_bytes).ok_or(PersistError::Malformed {
+            context: "array length overflows",
+        })?;
+        let remaining = self.payload.len() - self.pos;
+        if need > remaining {
+            return Err(PersistError::Truncated {
+                expected: need,
+                got: remaining,
+            });
+        }
+        Ok(len)
     }
 
     fn get_len(&mut self) -> Result<usize, PersistError> {

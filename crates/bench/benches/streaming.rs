@@ -2,8 +2,9 @@
 //! deterministic NWA membership is linear in the document length with memory
 //! proportional to the depth (§3.2), and document queries run in one pass
 //! over SAX-style event streams — either from a materialized nested word or
-//! fully incrementally from XML text via `sax::Tokenizer`, without ever
-//! building the document in memory.
+//! fully incrementally from XML text via the bulk scanner's
+//! `sax::ByteTokenizer` (`run_streaming_text`), without ever building the
+//! document in memory.
 //!
 //! E15c adds the compiled execution engines (`query::compile`): interpreted
 //! vs dense-table runners for `Nwa`, the tagged `Dfa` and `Nnwa` at

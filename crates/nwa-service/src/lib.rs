@@ -10,19 +10,17 @@
 //! (`query::compile`) made a single stream fast; this crate makes *many*
 //! streams fast, in two layers:
 //!
-//! * **Layer 1 — the batched runner** ([`BatchRun`] with a const lane
-//!   count, [`DynBatchRun`] for widths chosen at runtime): N independent
-//!   streams advanced in software-pipelined lockstep over one shared table,
-//!   via the `automata_core::BatchAcceptor` capability. One stream's
-//!   throughput is bounded by the `state → table → state` load-to-use
-//!   dependency chain, not by table size — the PR5 microbenchmarks measured
-//!   the compiled NWA at ~3.8 ns/event with most of the core idle. Lanes
-//!   are mutually independent chains, so interleaving them fills the
-//!   pipeline: lane B's table lookup executes in the shadow of lane A's
-//!   dependency stall.
+//! * **Layer 1 — batched execution**: the compiled artifacts'
+//!   `automata_core::BatchAcceptor::run_batch` (spelled `query::run_batch`
+//!   in the facade) advances N independent streams in software-pipelined
+//!   lockstep over one shared table. One stream's throughput is bounded by
+//!   the `state → table → state` load-to-use dependency chain, not by
+//!   table size, which leaves most of the core idle. Lanes are mutually
+//!   independent chains, so interleaving them fills the pipeline: lane B's
+//!   table lookup executes in the shadow of lane A's dependency stall.
 //!
 //! * **Layer 2 — the decision service** ([`DecisionService`]): a
-//!   thread-pool facade over the batched runner. The compiled artifact is
+//!   thread-pool facade over batched execution. The compiled artifact is
 //!   built once and shared (`Arc`'d — the artifacts are `Send + Sync`);
 //!   worker threads pull submitted streams from a queue into batch slots
 //!   and answer through completion handles. [`DecisionService::submit_bytes`]
@@ -82,10 +80,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod service;
 
-pub use batch::{BatchRun, DynBatchRun};
 pub use service::{
     DecisionError, DecisionHandle, DecisionService, MultiHandle, MultiSubmitError, ParkError,
     ParkedDoc, ParkedHandle, ServiceConfig, ServiceStats, WorkerStats,

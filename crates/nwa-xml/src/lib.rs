@@ -8,13 +8,13 @@
 //!
 //! The crate provides
 //!
-//! * SAX-style tokenizers from a lightweight XML-ish syntax to nested words
-//!   ([`sax`]): char-level ([`sax::Tokenizer`]) and byte-level over any
-//!   `io::Read` ([`sax::ByteTokenizer`], plus [`sax::FrozenByteTokenizer`]
-//!   for lexing against a read-only alphabet pinned by a compiled
-//!   automaton), the byte level running on the bulk structural scanner of
-//!   [`scan`] (chunked reads, per-chunk UTF-8 validation, whole-run
-//!   classification),
+//! * one SAX-style tokenizer from a lightweight XML-ish syntax to nested
+//!   words ([`sax::ByteTokenizer`] over any `io::Read`, with
+//!   [`sax::FrozenByteTokenizer`] its spelling against a read-only alphabet
+//!   pinned by a compiled automaton), running on the bulk structural
+//!   scanner of [`scan`] (chunked reads, per-chunk UTF-8 validation,
+//!   whole-run classification); the text conveniences ([`sax::tokenize`],
+//!   [`sax::parse_document`]) run the same lexer over `text.as_bytes()`,
 //! * a synthetic document generator with controllable size and depth
 //!   ([`generate`]),
 //! * document queries (patterns in document order, tag containment, depth

@@ -298,15 +298,7 @@ pub fn run_streaming_text<A: StreamAcceptor>(
     text: &str,
     alphabet: &Alphabet,
 ) -> Result<StreamingOutcome, NestedWordError> {
-    run_streaming_reader(a, text.as_bytes(), alphabet).map_err(|e| match e {
-        SaxError::Syntax(e) => e,
-        // Unreachable for an in-memory &str source, but mapped rather than
-        // panicked on out of caution.
-        other => NestedWordError::Parse {
-            offset: 0,
-            message: other.to_string(),
-        },
-    })
+    run_streaming_reader(a, text.as_bytes(), alphabet).map_err(crate::sax::text_error)
 }
 
 #[cfg(test)]

@@ -9,44 +9,41 @@
 //! close tags are allowed — they become pending calls and returns, exactly
 //! the situation §1 highlights as awkward for tree-based models.
 //!
-//! Three incremental front ends share one event-building core
-//! (`LexerCore` — the [`ResolveName`] policy, the queued-event buffer, and
-//! the tag/CDATA classification rules), behind two lexing engines: the
-//! char-at-a-time [`EventLexer`] and the bulk structural scanner of
-//! [`crate::scan`]:
+//! One lexer serves every entry point: [`ByteTokenizer`], an iterator over
+//! `Result<TaggedSymbol, SaxError>` that lexes any [`std::io::Read`] one
+//! SAX event at a time on the bulk structural scanner of [`crate::scan`].
+//! It sweeps the bytes a chunk at a time (UTF-8 validated per chunk,
+//! multi-byte sequences split across `read` calls carried over the seam,
+//! invalid or truncated sequences surfacing as typed [`SaxError`]s)
+//! without ever materializing the document — the bytes-in → events-out
+//! pipeline of §1. Its [`ResolveName`] parameter decides how names become
+//! symbols:
 //!
-//! * [`Tokenizer`] — an iterator over
-//!   `Result<TaggedSymbol, NestedWordError>` that lexes one SAX event at a
-//!   time from any `Iterator<Item = char>` (the [`EventLexer`] engine);
-//! * [`ByteTokenizer`] — the byte-level source: one SAX event at a time
-//!   from any [`std::io::Read`], swept chunk-at-a-time by the bulk scanner
-//!   (UTF-8 validated per chunk, multi-byte sequences split across `read`
-//!   calls carried over the seam, invalid or truncated sequences surfacing
-//!   as typed [`SaxError`]s) without ever materializing the document — the
-//!   bytes-in → events-out pipeline of §1;
-//! * [`FrozenByteTokenizer`] — the same byte-level source against a
-//!   *read-only* alphabet ([`ResolveName`] chooses between the two
-//!   policies): names are looked up instead of interned, an unknown name is
-//!   a typed [`NestedWordError::UnknownSymbol`], and the alphabet is never
-//!   copied or mutated — the serving-path front end, where the alphabet
-//!   must stay aligned with a compiled artifact.
+//! * `&mut Alphabet` interns them, building the alphabet from the
+//!   document;
+//! * `&Alphabet` ([`FrozenByteTokenizer`]) looks them up read-only: an
+//!   unknown name is a typed [`NestedWordError::UnknownSymbol`], and the
+//!   alphabet is never copied or mutated — the serving-path front end,
+//!   where the alphabet must stay aligned with a compiled artifact.
 //!
-//! Neither front end materializes a [`TaggedWord`] or [`NestedWord`];
-//! feeding one straight into `query::run_stream` evaluates a document query
-//! in one pass with memory proportional to the nesting depth. [`tokenize`]
-//! and [`parse_document`] are the batch conveniences on top.
+//! The tokenizer materializes no [`TaggedWord`] or [`NestedWord`]; feeding
+//! it straight into `query::run_stream` evaluates a document query in one
+//! pass with memory proportional to the nesting depth. [`tokenize`] and
+//! [`parse_document`] are the batch conveniences on top, running the same
+//! lexer over `text.as_bytes()`.
 
+use crate::scan::ChunkWindow;
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol, TaggedWord};
 use std::collections::VecDeque;
 use std::io;
 
-/// Errors of the byte-level SAX pipeline: everything that can go wrong
-/// between raw bytes and tagged-symbol events.
+/// Errors of the SAX pipeline: everything that can go wrong between raw
+/// bytes and tagged-symbol events.
 ///
-/// The char-level [`Tokenizer`] can only fail with [`SaxError::Syntax`] (its
-/// input is already decoded), so it keeps yielding plain
-/// [`NestedWordError`]s; the byte-level [`ByteTokenizer`] adds the I/O and
-/// UTF-8 failure modes.
+/// Text that is already a `&str` can only fail with [`SaxError::Syntax`],
+/// so [`tokenize`] and [`parse_document`] report plain
+/// [`NestedWordError`]s; [`ByteTokenizer`] adds the I/O and UTF-8 failure
+/// modes.
 #[derive(Debug)]
 pub enum SaxError {
     /// A lexical error in the XML-ish syntax (unterminated tag, empty tag
@@ -103,129 +100,7 @@ impl From<NestedWordError> for SaxError {
 }
 
 // --------------------------------------------------------------------------
-// Incremental UTF-8 decoding over io::Read
-// --------------------------------------------------------------------------
-
-/// An iterator of `Result<char, SaxError>` decoding UTF-8 incrementally
-/// from any [`io::Read`].
-///
-/// Bytes are pulled through an internal buffer one decoded scalar at a
-/// time, so a multi-byte sequence split across `read` calls (or across
-/// buffer refills) is reassembled transparently. Validation is strict
-/// (WHATWG table): overlong encodings, surrogates and scalars above
-/// `U+10FFFF` are [`SaxError::InvalidUtf8`]; EOF inside a sequence is
-/// [`SaxError::TruncatedUtf8`]. After any error the iterator is fused.
-#[derive(Debug)]
-pub struct Utf8Chars<R: io::Read> {
-    reader: R,
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    /// Absolute byte offset of the next unread byte.
-    offset: usize,
-    failed: bool,
-}
-
-impl<R: io::Read> Utf8Chars<R> {
-    /// Starts decoding `reader` with the default 8 KiB buffer.
-    pub fn new(reader: R) -> Self {
-        Utf8Chars {
-            reader,
-            buf: vec![0; 8 * 1024],
-            start: 0,
-            end: 0,
-            offset: 0,
-            failed: false,
-        }
-    }
-
-    /// Pulls one byte, refilling the buffer as needed. `Ok(None)` is EOF.
-    fn next_byte(&mut self) -> Result<Option<u8>, SaxError> {
-        while self.start == self.end {
-            match self.reader.read(&mut self.buf) {
-                Ok(0) => return Ok(None),
-                Ok(n) => {
-                    self.start = 0;
-                    self.end = n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(SaxError::Io(e)),
-            }
-        }
-        let b = self.buf[self.start];
-        self.start += 1;
-        self.offset += 1;
-        Ok(Some(b))
-    }
-
-    fn decode_next(&mut self) -> Result<Option<char>, SaxError> {
-        let start = self.offset;
-        let b0 = match self.next_byte()? {
-            None => return Ok(None),
-            Some(b) => b,
-        };
-        if b0 < 0x80 {
-            return Ok(Some(b0 as char));
-        }
-        // (sequence length, allowed range of the second byte): the WHATWG
-        // encoding table, which rejects overlong forms (C0/C1, E0 80–9F,
-        // F0 80–8F), surrogates (ED A0–BF) and scalars past U+10FFFF
-        // (F4 90–BF, F5–FF) at the second byte.
-        let (len, min_b1, max_b1) = match b0 {
-            0xC2..=0xDF => (2, 0x80, 0xBF),
-            0xE0 => (3, 0xA0, 0xBF),
-            0xE1..=0xEC | 0xEE..=0xEF => (3, 0x80, 0xBF),
-            0xED => (3, 0x80, 0x9F),
-            0xF0 => (4, 0x90, 0xBF),
-            0xF1..=0xF3 => (4, 0x80, 0xBF),
-            0xF4 => (4, 0x80, 0x8F),
-            _ => return Err(SaxError::InvalidUtf8 { offset: start }),
-        };
-        let mut cp = (b0 as u32) & (0x7F >> len);
-        for i in 1..len {
-            let b = match self.next_byte()? {
-                None => return Err(SaxError::TruncatedUtf8 { offset: start }),
-                Some(b) => b,
-            };
-            let (lo, hi) = if i == 1 {
-                (min_b1, max_b1)
-            } else {
-                (0x80, 0xBF)
-            };
-            if b < lo || b > hi {
-                return Err(SaxError::InvalidUtf8 { offset: start });
-            }
-            cp = (cp << 6) | ((b as u32) & 0x3F);
-        }
-        match char::from_u32(cp) {
-            Some(c) => Ok(Some(c)),
-            // Unreachable given the table above, but a defensive error beats
-            // a panic on a decoder bug.
-            None => Err(SaxError::InvalidUtf8 { offset: start }),
-        }
-    }
-}
-
-impl<R: io::Read> Iterator for Utf8Chars<R> {
-    type Item = Result<char, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.decode_next() {
-            Ok(Some(c)) => Some(Ok(c)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// The shared lexing engine
+// Name resolution and event building
 // --------------------------------------------------------------------------
 
 /// How the lexing engine maps lexed names (tag names, text tokens) to
@@ -234,9 +109,9 @@ impl<R: io::Read> Iterator for Utf8Chars<R> {
 /// Two policies exist:
 ///
 /// * `&mut Alphabet` — **interning**: a name seen for the first time is
-///   added to the alphabet ([`Alphabet::try_intern`]); this is what the
-///   parsing front ends ([`Tokenizer`], [`ByteTokenizer`]) use, where the
-///   alphabet is being *built* from the document.
+///   added to the alphabet ([`Alphabet::try_intern`]); this is what
+///   parsing ([`tokenize`], `ByteTokenizer<R, &mut Alphabet>`) uses, where
+///   the alphabet is being *built* from the document.
 /// * `&Alphabet` — **read-only lookup**: an unknown name is a typed
 ///   [`NestedWordError::UnknownSymbol`] and the alphabet is never mutated;
 ///   this is what [`FrozenByteTokenizer`] uses on the serving path, where
@@ -262,14 +137,13 @@ impl ResolveName for &Alphabet {
     }
 }
 
-/// The name-to-event builder shared by the char-at-a-time [`EventLexer`]
-/// and the bulk [`scan`](crate::scan) path: it owns the [`ResolveName`]
-/// policy, the queue of already-lexed events (the return of a self-closing
-/// tag, the text tokens of a CDATA section) and the post-error fuse, plus
-/// the two classification steps both paths share verbatim — turning a tag
-/// body into its event and splitting CDATA content into text tokens.
-/// Keeping these in one place is what makes the two lexers equivalent by
-/// construction rather than by parallel maintenance.
+/// The name-to-event builder of [`ByteTokenizer`]: it owns the
+/// [`ResolveName`] policy and its name memo, the queue of already-lexed
+/// events (the return of a self-closing tag, the text tokens of a CDATA
+/// section) and the post-error fuse, plus the two classification steps —
+/// turning a tag body into its event and splitting CDATA content into text
+/// tokens. The scanner's window sweeps and its seam-crossing general path
+/// both go through it, so they classify identically by construction.
 #[derive(Debug)]
 pub(crate) struct LexerCore<N: ResolveName> {
     pub(crate) names: N,
@@ -318,7 +192,7 @@ pub(crate) struct NonAscii;
 /// whitespace, takes bytes up to the next ASCII whitespace (or the end).
 /// A non-ASCII byte in either role — it could be Unicode whitespace or a
 /// multi-byte name character — aborts with [`NonAscii`] so the caller can
-/// fall back to char-level classification. `Ok(None)` means only
+/// fall back to the `&str` classifier. `Ok(None)` means only
 /// whitespace was found.
 #[inline]
 pub(crate) fn ascii_first_token(bytes: &[u8]) -> Result<Option<&[u8]>, NonAscii> {
@@ -384,7 +258,7 @@ impl<N: ResolveName> LexerCore<N> {
 
     /// Maps one lexed name to a symbol through the policy. Equivalent to
     /// [`LexerCore::resolve_bytes`] (which it wraps); the `&str` form is
-    /// what the char-level lexer holds.
+    /// what the classifiers below hold.
     pub(crate) fn resolve(&mut self, name: &str) -> Result<Symbol, SaxError> {
         self.resolve_bytes(name.as_bytes())
     }
@@ -515,8 +389,8 @@ impl<N: ResolveName> LexerCore<N> {
     /// classification steps (leading `/`, trailing-whitespace trim, first
     /// whitespace-separated token) run byte-level; any non-ASCII byte in a
     /// deciding position (inside the name, or in the trailing run that the
-    /// trim must judge) falls back to the char-level classifier, which is
-    /// the semantics. Same result for the same bytes, by construction for
+    /// trim must judge) falls back to the `&str` classifier, which is the
+    /// semantics. Same result for the same bytes, by construction for
     /// the fallback and because ASCII classification agrees with Unicode
     /// classification wherever only ASCII is inspected.
     pub(crate) fn tag_event_bytes(
@@ -581,361 +455,45 @@ impl<N: ResolveName> LexerCore<N> {
     }
 }
 
-/// A peekable, offset-tracking adapter over a fallible char source.
-#[derive(Debug)]
-struct Source<S> {
-    iter: S,
-    peeked: Option<char>,
-    /// Byte offset of the next unread character (for error reporting).
-    offset: usize,
-}
+// --------------------------------------------------------------------------
+// The tokenizer
+// --------------------------------------------------------------------------
 
-impl<S: Iterator<Item = Result<char, SaxError>>> Source<S> {
-    fn new(iter: S) -> Self {
-        Source {
-            iter,
-            peeked: None,
-            offset: 0,
-        }
-    }
-
-    /// Peeks the next character. A source error is consumed and returned
-    /// (the lexer fuses after any error, so nothing is lost).
-    fn peek(&mut self) -> Result<Option<char>, SaxError> {
-        if self.peeked.is_none() {
-            match self.iter.next() {
-                None => return Ok(None),
-                Some(Ok(c)) => self.peeked = Some(c),
-                Some(Err(e)) => return Err(e),
-            }
-        }
-        Ok(self.peeked)
-    }
-
-    /// Consumes the next character, advancing the byte offset.
-    fn bump(&mut self) -> Result<Option<char>, SaxError> {
-        let c = match self.peeked.take() {
-            Some(c) => Some(c),
-            None => match self.iter.next() {
-                None => None,
-                Some(Ok(c)) => Some(c),
-                Some(Err(e)) => return Err(e),
-            },
-        };
-        if let Some(c) = c {
-            self.offset += c.len_utf8();
-        }
-        Ok(c)
-    }
-}
-
-/// The lexing engine shared by [`Tokenizer`] (chars in), [`ByteTokenizer`]
-/// (bytes in) and [`FrozenByteTokenizer`] (bytes in, read-only alphabet): an
-/// iterator over `Result<TaggedSymbol, SaxError>` that yields one event per
-/// open tag, close tag, or whitespace-separated text token, resolving names
-/// through the [`ResolveName`] policy as it goes.
+/// The SAX front end: an incremental lexer over any [`io::Read`], yielding
+/// one [`TaggedSymbol`] event at a time — no materialized document, memory
+/// proportional to the scan window plus the current token — and resolving
+/// names through the [`ResolveName`] policy `N` (`&mut Alphabet` interns,
+/// `&Alphabet` looks up read-only; see [`FrozenByteTokenizer`]).
 ///
-/// * Tag names end at the first whitespace character; anything after it
+/// It runs on the bulk structural scanner ([`crate::scan`]): bytes are
+/// pulled in [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks,
+/// UTF-8 is validated a chunk at a time (multi-byte sequences split across
+/// `read` calls are carried over the seam), and tags, text runs, CDATA
+/// sections and directives are classified with whole-run byte sweeps
+/// instead of per-character dispatch. The lexical rules:
+///
+/// * one event per open tag, close tag, or whitespace-separated text token;
+/// * tag names end at the first whitespace character; anything after it
 ///   (attributes) is ignored, so `<sec a="1">` and `</sec>` produce the
-///   *same* symbol.
-/// * A `>` inside a single- or double-quoted attribute value does not
-///   terminate the tag.
+///   *same* symbol;
+/// * a `>` inside a single- or double-quoted attribute value does not
+///   terminate the tag;
 /// * `<!…>` declarations/comments and `<?…?>` processing instructions are
 ///   skipped entirely; a `<!DOCTYPE …>` may carry a `[ … ]` internal subset
-///   whose declarations contain `>`.
+///   whose declarations contain `>`;
 /// * `<![CDATA[ … ]]>` sections run to their `]]>` terminator; their
 ///   content is character data and is lexed as ordinary text tokens, so a
-///   `>`, `&` or even `<tag>` inside CDATA is never mistaken for markup.
+///   `>`, `&` or even `<tag>` inside CDATA is never mistaken for markup;
 /// * `<tag/>` (with or without attributes) yields a call immediately
 ///   followed by a return.
 ///
 /// Errors — lexical ([`SaxError::Syntax`]: `unterminated tag`, `empty tag
-/// name`, name-resolution failures from the [`ResolveName`] policy) or, for
-/// byte sources, I/O and UTF-8 failures — are yielded once, after which the
-/// iterator is fused.
-#[derive(Debug)]
-pub struct EventLexer<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> {
-    source: Source<S>,
-    core: LexerCore<N>,
-}
-
-impl<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> EventLexer<S, N> {
-    /// Creates a lexer over a fallible character source, resolving symbol
-    /// names through `names`.
-    pub fn new(source: S, names: N) -> Self {
-        EventLexer {
-            source: Source::new(source),
-            core: LexerCore::new(names),
-        }
-    }
-
-    /// Skips or lexes one directive, with the cursor just past `<` and on
-    /// `!` or `?`. Comments run to `-->`, processing instructions to `?>`,
-    /// CDATA sections to `]]>` (their content is queued as text tokens, see
-    /// [`EventLexer::lex_cdata`]); other declarations (`<!DOCTYPE …>`) run
-    /// to the first `>` *outside* a `[ … ]` internal subset, so an entity
-    /// declaration's `>` inside the subset does not end the DOCTYPE early.
-    /// Attribute-quote rules do not apply inside directives, so an
-    /// apostrophe or a bare `>` in a comment does not derail the lexer.
-    fn lex_directive(&mut self, tag_start: usize) -> Result<(), SaxError> {
-        let unterminated = || {
-            SaxError::Syntax(NestedWordError::Parse {
-                offset: tag_start,
-                message: "unterminated directive".into(),
-            })
-        };
-        let lead = self.source.bump()?.expect("caller peeked '!' or '?'");
-        if lead == '!' && self.source.peek()? == Some('-') {
-            self.source.bump()?;
-            if self.source.peek()? == Some('-') {
-                self.source.bump()?;
-                // comment: scan for the "-->" terminator
-                let mut dashes = 0usize;
-                loop {
-                    match self.source.bump()? {
-                        None => return Err(unterminated()),
-                        Some('-') => dashes += 1,
-                        Some('>') if dashes >= 2 => return Ok(()),
-                        Some(_) => dashes = 0,
-                    }
-                }
-            }
-            // "<!-…" without a second dash: fall through to the '>' scan
-        }
-        if lead == '?' {
-            // processing instruction: scan for the "?>" terminator
-            let mut prev_question = false;
-            loop {
-                match self.source.bump()? {
-                    None => return Err(unterminated()),
-                    Some('>') if prev_question => return Ok(()),
-                    Some(c) => prev_question = c == '?',
-                }
-            }
-        }
-        // `[`…`]` nesting depth of a DOCTYPE internal subset; a `>` only
-        // terminates the directive at depth zero.
-        let mut depth = 0usize;
-        if lead == '!' && self.source.peek()? == Some('[') {
-            self.source.bump()?;
-            // `<![`: a CDATA section if the marker `CDATA[` follows.
-            const MARKER: [char; 6] = ['C', 'D', 'A', 'T', 'A', '['];
-            let mut matched = 0usize;
-            while matched < MARKER.len() && self.source.peek()? == Some(MARKER[matched]) {
-                self.source.bump()?;
-                matched += 1;
-            }
-            if matched == MARKER.len() {
-                return self.lex_cdata(tag_start);
-            }
-            // Not CDATA (e.g. a DTD conditional section): the consumed `[`
-            // opened one bracket level; fall through to the scan.
-            depth = 1;
-        }
-        loop {
-            match self.source.bump()? {
-                None => return Err(unterminated()),
-                Some('[') => depth += 1,
-                Some(']') => depth = depth.saturating_sub(1),
-                Some('>') if depth == 0 => return Ok(()),
-                Some(_) => {}
-            }
-        }
-    }
-
-    /// Lexes a CDATA section, with the cursor just past `<![CDATA[`: scans
-    /// to the `]]>` terminator and queues the content as ordinary
-    /// whitespace-separated text tokens. Everything inside — `>`, `&`, even
-    /// `<tag>` — is character data, never markup.
-    fn lex_cdata(&mut self, tag_start: usize) -> Result<(), SaxError> {
-        let mut content = String::new();
-        loop {
-            match self.source.bump()? {
-                None => {
-                    return Err(SaxError::Syntax(NestedWordError::Parse {
-                        offset: tag_start,
-                        message: "unterminated CDATA section".into(),
-                    }));
-                }
-                Some(c) => {
-                    content.push(c);
-                    if content.ends_with("]]>") {
-                        content.truncate(content.len() - 3);
-                        break;
-                    }
-                }
-            }
-        }
-        self.core.cdata_tokens(&content)
-    }
-
-    /// Lexes one `<…>` construct, with the cursor on `<`. Returns `None`
-    /// for skipped directives.
-    fn lex_tag(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        let tag_start = self.source.offset;
-        self.source.bump()?; // consume '<'
-        if matches!(self.source.peek()?, Some('!') | Some('?')) {
-            // <!DOCTYPE …>, <!-- … -->, <?xml … ?>: no SAX event.
-            self.lex_directive(tag_start)?;
-            return Ok(None);
-        }
-        let mut content = String::new();
-        let mut quote: Option<char> = None;
-        loop {
-            match self.source.bump()? {
-                None => {
-                    return Err(SaxError::Syntax(NestedWordError::Parse {
-                        offset: tag_start,
-                        message: "unterminated tag".into(),
-                    }));
-                }
-                Some(c) => match quote {
-                    Some(q) => {
-                        if c == q {
-                            quote = None;
-                        }
-                        content.push(c);
-                    }
-                    None => {
-                        if c == '>' {
-                            break;
-                        }
-                        if c == '"' || c == '\'' {
-                            quote = Some(c);
-                        }
-                        content.push(c);
-                    }
-                },
-            }
-        }
-        self.core.tag_event(&content, tag_start).map(Some)
-    }
-
-    /// Lexes one whitespace-delimited text token, with the cursor on its
-    /// first character.
-    fn lex_text(&mut self) -> Result<TaggedSymbol, SaxError> {
-        let mut word = String::new();
-        while let Some(c) = self.source.peek()? {
-            if c == '<' || c.is_whitespace() {
-                break;
-            }
-            word.push(c);
-            self.source.bump()?;
-        }
-        let sym = self.core.resolve(&word)?;
-        Ok(TaggedSymbol::Internal(sym))
-    }
-
-    fn next_event(&mut self) -> Result<Option<TaggedSymbol>, SaxError> {
-        loop {
-            // Drained inside the loop: a skipped CDATA section queues text
-            // tokens that must come out before the next character is lexed.
-            if let Some(t) = self.core.queued.pop_front() {
-                return Ok(Some(t));
-            }
-            match self.source.peek()? {
-                None => return Ok(None),
-                Some('<') => {
-                    if let Some(t) = self.lex_tag()? {
-                        return Ok(Some(t));
-                    }
-                    // directive skipped
-                }
-                Some(c) if c.is_whitespace() => {
-                    self.source.bump()?;
-                }
-                Some(_) => return self.lex_text().map(Some),
-            }
-        }
-    }
-}
-
-impl<S: Iterator<Item = Result<char, SaxError>>, N: ResolveName> Iterator for EventLexer<S, N> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.core.failed {
-            return None;
-        }
-        match self.next_event() {
-            Ok(Some(t)) => Some(Ok(t)),
-            Ok(None) => None,
-            Err(e) => {
-                self.core.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------------------
-// The two public front ends
-// --------------------------------------------------------------------------
-
-fn infallible(c: char) -> Result<char, SaxError> {
-    Ok(c)
-}
-
-/// The adapter type lifting an infallible char iterator into the
-/// [`EventLexer`]'s fallible source.
-type OkChars<I> = std::iter::Map<I, fn(char) -> Result<char, SaxError>>;
-
-/// An incremental SAX lexer over a plain character stream: yields one
-/// [`TaggedSymbol`] event per open tag, close tag, or whitespace-separated
-/// text token, interning names into the borrowed alphabet as it goes. See
-/// [`EventLexer`] for the lexical rules; since the input is already decoded,
-/// the only possible failures are syntactic, reported as plain
-/// [`NestedWordError`]s.
-#[derive(Debug)]
-pub struct Tokenizer<'a, I: Iterator<Item = char>> {
-    inner: EventLexer<OkChars<I>, &'a mut Alphabet>,
-}
-
-impl<'a, I: Iterator<Item = char>> Tokenizer<'a, I> {
-    /// Creates a tokenizer over a character stream, interning symbol names
-    /// into `alphabet`.
-    pub fn new(chars: I, alphabet: &'a mut Alphabet) -> Self {
-        Tokenizer {
-            inner: EventLexer::new(chars.map(infallible as fn(char) -> _), alphabet),
-        }
-    }
-}
-
-impl<I: Iterator<Item = char>> Iterator for Tokenizer<'_, I> {
-    type Item = Result<TaggedSymbol, NestedWordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(match self.inner.next()? {
-            Ok(t) => Ok(t),
-            Err(SaxError::Syntax(e)) => Err(e),
-            // Unreachable from an infallible char source, but mapped rather
-            // than panicked on out of caution.
-            Err(other) => Err(NestedWordError::Parse {
-                offset: 0,
-                message: other.to_string(),
-            }),
-        })
-    }
-}
-
-/// The byte-level SAX front end of the ROADMAP: an incremental lexer over
-/// any [`io::Read`], yielding one [`TaggedSymbol`] event at a time — no
-/// materialized document, memory proportional to the scan window plus the
-/// current token.
-///
-/// Since the tokenizer-wall refactor this front end runs on the bulk
-/// structural scanner ([`crate::scan`]): bytes are pulled in
-/// [`scan::SCAN_CHUNK`](crate::scan::SCAN_CHUNK)-sized chunks, UTF-8 is
-/// validated a chunk at a time (multi-byte sequences split across `read`
-/// calls are carried over the seam), and tags, text runs, CDATA sections
-/// and directives are classified with whole-run byte sweeps instead of
-/// per-character dispatch. The yielded stream is token-for-token and
-/// error-for-error identical to the char-level [`EventLexer`] over the
-/// same bytes (property-tested in `tests/sax_scan.rs`).
-///
-/// Invalid UTF-8, sequences truncated by EOF (or split across `read` calls
-/// and never completed) and I/O failures surface as typed [`SaxError`]s;
-/// after any error the iterator is fused.
+/// name`, name-resolution failures from the policy), invalid UTF-8,
+/// sequences truncated by EOF, and I/O failures — are yielded once, after
+/// which the iterator is fused. `tests/sax_scan.rs` holds the stream
+/// token-for-token, error-for-error and alphabet-for-alphabet equal to an
+/// independent char-at-a-time reference lexer under adversarial read
+/// granularities.
 ///
 /// ```
 /// use nested_words::{Alphabet, TaggedSymbol};
@@ -949,39 +507,20 @@ impl<I: Iterator<Item = char>> Iterator for Tokenizer<'_, I> {
 /// assert_eq!(events[1], TaggedSymbol::Internal(ab.lookup("héllo").unwrap()));
 /// ```
 #[derive(Debug)]
-pub struct ByteTokenizer<'a, R: io::Read> {
-    inner: crate::scan::BulkLexer<R, &'a mut Alphabet>,
+pub struct ByteTokenizer<R: io::Read, N: ResolveName> {
+    pub(crate) window: ChunkWindow<R>,
+    pub(crate) core: LexerCore<N>,
+    /// Events lexed ahead by `fill` for the per-event [`Iterator`] view,
+    /// drained from `ready_pos`.
+    pub(crate) ready: Vec<TaggedSymbol>,
+    pub(crate) ready_pos: usize,
+    /// An error met while lexing ahead: surfaced after `ready` drains, i.e.
+    /// in exactly the position the per-event path would have yielded it.
+    pub(crate) pending_err: Option<SaxError>,
 }
 
-impl<'a, R: io::Read> ByteTokenizer<'a, R> {
-    /// Creates a tokenizer over a byte stream, interning symbol names into
-    /// `alphabet`.
-    pub fn new(reader: R, alphabet: &'a mut Alphabet) -> Self {
-        ByteTokenizer {
-            inner: crate::scan::BulkLexer::new(reader, alphabet),
-        }
-    }
-
-    /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends — the slice-producing entry the bytes-in →
-    /// verdict-out pipeline feeds to the engines' bulk stepping. Events
-    /// lexed before an error stay in `out` (in emission order) when `Err`
-    /// is returned.
-    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
-        self.inner.fill(out, max)
-    }
-}
-
-impl<R: io::Read> Iterator for ByteTokenizer<'_, R> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
-/// The serving-path byte-level front end: identical lexing to
-/// [`ByteTokenizer`], but against a **read-only** alphabet.
+/// The serving-path tokenizer: [`ByteTokenizer`] against a **read-only**
+/// alphabet.
 ///
 /// Names are resolved by lookup only — a name that is not already interned
 /// surfaces as [`NestedWordError::UnknownSymbol`] inside
@@ -1010,34 +549,7 @@ impl<R: io::Read> Iterator for ByteTokenizer<'_, R> {
 ///     SaxError::Syntax(NestedWordError::UnknownSymbol { ref name }) if name == "intruder"
 /// ));
 /// ```
-#[derive(Debug)]
-pub struct FrozenByteTokenizer<'a, R: io::Read> {
-    inner: crate::scan::BulkLexer<R, &'a Alphabet>,
-}
-
-impl<'a, R: io::Read> FrozenByteTokenizer<'a, R> {
-    /// Creates a tokenizer over a byte stream, resolving symbol names by
-    /// read-only lookup in `alphabet`.
-    pub fn new(reader: R, alphabet: &'a Alphabet) -> Self {
-        FrozenByteTokenizer {
-            inner: crate::scan::BulkLexer::new(reader, alphabet),
-        }
-    }
-
-    /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends; see [`ByteTokenizer::fill`].
-    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
-        self.inner.fill(out, max)
-    }
-}
-
-impl<R: io::Read> Iterator for FrozenByteTokenizer<'_, R> {
-    type Item = Result<TaggedSymbol, SaxError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
+pub type FrozenByteTokenizer<'a, R> = ByteTokenizer<R, &'a Alphabet>;
 
 // --------------------------------------------------------------------------
 // Batch conveniences
@@ -1045,14 +557,31 @@ impl<R: io::Read> Iterator for FrozenByteTokenizer<'_, R> {
 
 /// Parses a lightweight XML string into a stream of tagged symbols,
 /// interning tag names and text tokens into `alphabet` (the batch form of
-/// [`Tokenizer`]).
+/// [`ByteTokenizer`] over `text.as_bytes()`).
 pub fn tokenize(text: &str, alphabet: &mut Alphabet) -> Result<TaggedWord, NestedWordError> {
-    Tokenizer::new(text.chars(), alphabet).collect()
+    ByteTokenizer::new(text.as_bytes(), alphabet)
+        .collect::<Result<_, _>>()
+        .map_err(text_error)
 }
 
 /// Parses a lightweight XML string directly into a nested word.
 pub fn parse_document(text: &str, alphabet: &mut Alphabet) -> Result<NestedWord, NestedWordError> {
     Ok(NestedWord::from_tagged(&tokenize(text, alphabet)?))
+}
+
+/// Narrows an error from lexing an in-memory `&str` to the
+/// [`NestedWordError`] the text entry points report (here and
+/// `queries::run_streaming_text`). Valid UTF-8 held in memory can only fail
+/// syntactically; the other variants are mapped rather than panicked on out
+/// of caution.
+pub(crate) fn text_error(e: SaxError) -> NestedWordError {
+    match e {
+        SaxError::Syntax(e) => e,
+        other => NestedWordError::Parse {
+            offset: 0,
+            message: other.to_string(),
+        },
+    }
 }
 
 /// Serializes a nested word back into the lightweight XML syntax.
@@ -1327,21 +856,29 @@ mod tests {
         let text = r#"<doc><sec n="1">hello world</sec><sec/></doc>"#;
         let batch = tokenize(text, &mut batch_ab).unwrap();
 
-        // One event at a time, from a plain char iterator.
+        // One event at a time, pulling each from the iterator and reading
+        // one byte per `read` call, equals the batch result.
         let mut ab = Alphabet::new();
-        let tok = Tokenizer::new(text.chars(), &mut ab);
+        let mut tok = ByteTokenizer::new(SplitReader::new(text.as_bytes(), 1), &mut ab);
         let mut streamed = Vec::new();
-        for item in tok {
+        for item in tok.by_ref() {
             streamed.push(item.unwrap());
         }
+        assert!(tok.next().is_none(), "fused at the end of the stream");
         assert_eq!(streamed, batch);
         assert_eq!(ab, batch_ab);
 
-        // After an error the iterator is fused.
+        // After an error the iterator is fused, even with input left over.
         let mut ab2 = Alphabet::new();
-        let mut bad = Tokenizer::new("<doc".chars(), &mut ab2);
+        let mut bad = ByteTokenizer::new("<a>x</ >y<b>".as_bytes(), &mut ab2);
+        assert!(bad.next().unwrap().is_ok());
+        assert!(bad.next().unwrap().is_ok());
         assert!(bad.next().unwrap().is_err());
         assert!(bad.next().is_none());
+        assert!(bad.next().is_none());
+        let mut out = Vec::new();
+        assert!(bad.fill(&mut out, 16).is_ok());
+        assert!(out.is_empty(), "fill yields nothing after the error");
     }
 
     // ----------------------------------------------------------------------
@@ -1372,26 +909,6 @@ mod tests {
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
-        }
-    }
-
-    #[test]
-    fn byte_tokenizer_agrees_with_char_tokenizer() {
-        let text = "<doc αβ='γ'><sec>héllo wörld — ≤∅≥</sec><näme/></doc>";
-        let mut char_ab = Alphabet::new();
-        let chars: Vec<_> = Tokenizer::new(text.chars(), &mut char_ab)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        // Whatever the read granularity — including mid-multi-byte splits —
-        // the byte path produces the identical event stream and alphabet.
-        for chunk in 1..=7 {
-            let mut byte_ab = Alphabet::new();
-            let bytes: Vec<_> =
-                ByteTokenizer::new(SplitReader::new(text.as_bytes(), chunk), &mut byte_ab)
-                    .collect::<Result<_, _>>()
-                    .unwrap();
-            assert_eq!(bytes, chars, "chunk size {chunk}");
-            assert_eq!(byte_ab, char_ab, "chunk size {chunk}");
         }
     }
 
@@ -1505,19 +1022,6 @@ mod tests {
         )
         .collect();
         assert_eq!(events.unwrap().len(), 3);
-    }
-
-    #[test]
-    fn utf8_chars_decodes_exactly_like_str_chars() {
-        // Every scalar-value category, split at every granularity.
-        let text = "A£ह𐍈\u{10FFFF}\u{D7FF}\u{E000}ß\u{7F}\u{80}";
-        let expect: Vec<char> = text.chars().collect();
-        for chunk in 1..=5 {
-            let got: Vec<char> = Utf8Chars::new(SplitReader::new(text.as_bytes(), chunk))
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(got, expect, "chunk {chunk}");
-        }
     }
 
     #[test]

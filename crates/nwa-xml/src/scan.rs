@@ -1,13 +1,11 @@
-//! Bulk structural scanning of raw XML-ish bytes — the simdjson-style fast
-//! path behind [`ByteTokenizer`](crate::sax::ByteTokenizer) and
-//! [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer).
+//! Bulk structural scanning of raw XML-ish bytes — the simdjson-style
+//! lexer behind [`ByteTokenizer`], and so behind every text and byte entry
+//! point of the crate.
 //!
-//! The char-at-a-time [`EventLexer`](crate::sax::EventLexer) pulls one
-//! decoded scalar per step through a peekable adapter — five or six calls
-//! and a `String::push` per input byte. That wall dominates the measured
-//! bytes-in → verdict-out pipeline: the compiled engines decide hundreds of
-//! millions of events per second while the lexer feeds them tens of
-//! megabytes. This module moves every per-byte decision to a per-*run*
+//! A char-at-a-time lexer pays several calls and a `String::push` per
+//! input byte, and that wall would dominate the bytes-in → verdict-out
+//! pipeline: the compiled engines decide hundreds of millions of events
+//! per second. This module moves every per-byte decision to a per-*run*
 //! decision, the way continuous-readout pipelines move validation from
 //! per-sample to per-chunk:
 //!
@@ -16,34 +14,35 @@
 //!   chunk at a time** (an 8-byte-word ASCII fast path, the WHATWG table
 //!   only on non-ASCII runs), with a multi-byte sequence split across a
 //!   refill seam carried over and re-validated when its tail arrives;
-//! * the `StructuralScanner` methods of the internal `BulkLexer` then sweep whole
-//!   *runs* of the validated window with unrolled byte loops keyed on the
-//!   structural set — `<`, `>`, `&` quotes inside tags, the `-->` / `?>` /
-//!   `]]>` terminators — classifying text, tag bodies, CDATA sections,
+//! * the tokenizer's sweep methods then cover whole *runs* of the
+//!   validated window with unrolled byte loops keyed on the structural
+//!   set — `<`, `>`, quotes inside tags, the `-->` / `?>` / `]]>`
+//!   terminators — classifying text, tag bodies, CDATA sections,
 //!   comments, processing instructions and DOCTYPE internal subsets as
 //!   slices, not as characters;
-//! * names are resolved straight from window slices through the shared
-//!   [`ResolveName`] policy and the event-building
-//!   `LexerCore` that the char-level lexer also uses, so the two paths are
-//!   token-for-token and error-for-error equivalent (property-tested in
-//!   `tests/sax_scan.rs` under adversarial read granularities).
+//! * names are resolved straight from window slices through the
+//!   [`ResolveName`] policy and the event-building `LexerCore`, which both
+//!   the in-window sweeps and the seam-crossing general path share, so the
+//!   two agree by construction. `tests/sax_scan.rs` holds the whole lexer
+//!   token-for-token, error-for-error and alphabet-for-alphabet equal to an
+//!   independent char-at-a-time reference under adversarial read
+//!   granularities.
 //!
 //! Invalid or truncated UTF-8 found by the chunk validator is *deferred*:
 //! the window simply ends at the last valid scalar, and the typed
 //! [`SaxError`] surfaces exactly when lexing reaches that offset — the same
-//! observable order as the incremental decoder, where a token in progress
+//! observable order as an incremental decoder, where a token in progress
 //! when the bad byte arrives is discarded in favor of the error.
 
-use crate::sax::{LexerCore, ResolveName, SaxError};
+use crate::sax::{ByteTokenizer, LexerCore, ResolveName, SaxError};
 use nested_words::{NestedWordError, TaggedSymbol};
 use std::io;
 
 /// Default size, in bytes, of the bulk scanning window: the unit reads are
 /// requested in, UTF-8 validation runs over, and structural runs are swept
-/// from. Shared by [`ByteTokenizer`](crate::sax::ByteTokenizer) /
-/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer) (hence by
-/// `queries::run_streaming_reader` and `nwa-service`'s `submit_bytes`,
-/// which ride them). 64 KiB: comfortably past the point where per-chunk
+/// from. Used by [`ByteTokenizer`], hence by every text and byte entry
+/// point (`sax::tokenize`, `queries::run_streaming_reader`, `nwa-service`'s
+/// `submit_bytes`, …). 64 KiB: comfortably past the point where per-chunk
 /// costs (one `read` call, one validation sweep, one compaction memmove)
 /// amortize to noise, while staying L2-resident on every current core.
 pub const SCAN_CHUNK: usize = 64 * 1024;
@@ -66,8 +65,7 @@ enum Utf8Stop {
 /// idiom for "any high bit set"); only non-ASCII runs consult the WHATWG
 /// second-byte table, which rejects overlong forms (C0/C1, E0 80–9F,
 /// F0 80–8F), surrogates (ED A0–BF) and scalars past U+10FFFF (F4 90–BF,
-/// F5–FF) — byte-for-byte the same acceptance set as the incremental
-/// [`Utf8Chars`](crate::sax::Utf8Chars) decoder.
+/// F5–FF) — byte-for-byte the acceptance set of `std::str::from_utf8`.
 fn validate_utf8(bytes: &[u8]) -> (usize, Utf8Stop) {
     const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
     let n = bytes.len();
@@ -783,7 +781,7 @@ fn find_text_end(data: &[u8], start: usize) -> Option<usize> {
 /// the window behaves as if the stream ended at the last valid scalar, and
 /// the typed error is handed out when the lexer actually reaches it.
 #[derive(Debug)]
-struct ChunkWindow<R> {
+pub(crate) struct ChunkWindow<R> {
     reader: R,
     buf: Vec<u8>,
     start: usize,
@@ -837,8 +835,7 @@ impl<R: io::Read> ChunkWindow<R> {
     /// positions relative to `data()` survive the refill — a token spanning
     /// any number of seams stays addressable as one contiguous slice, at
     /// the cost of growing the buffer only when a single token outgrows it
-    /// (memory proportional to the longest token, as for the char path's
-    /// per-token `String`).
+    /// (memory proportional to the longest token).
     fn grow(&mut self) -> Result<bool, SaxError> {
         loop {
             if let Some(e) = self.pending.take() {
@@ -894,40 +891,10 @@ impl<R: io::Read> ChunkWindow<R> {
     }
 }
 
-/// The bulk lexer: a [`StructuralScanner`] over a [`ChunkWindow`], feeding
-/// run classifications through the shared `LexerCore` event builder. This
-/// is the engine inside [`ByteTokenizer`](crate::sax::ByteTokenizer) and
-/// [`FrozenByteTokenizer`](crate::sax::FrozenByteTokenizer); it yields the
-/// token-for-token identical `Result<TaggedSymbol, SaxError>` stream to
-/// [`EventLexer`](crate::sax::EventLexer) over the same bytes.
-#[derive(Debug)]
-pub(crate) struct BulkLexer<R: io::Read, N: ResolveName> {
-    window: ChunkWindow<R>,
-    core: LexerCore<N>,
-    /// Events lexed ahead by [`Self::fill`] for the per-event [`Iterator`]
-    /// view, drained from `ready_pos`.
-    ready: Vec<TaggedSymbol>,
-    ready_pos: usize,
-    /// An error met while lexing ahead: surfaced after `ready` drains, i.e.
-    /// in exactly the position the per-event path would have yielded it.
-    pending_err: Option<SaxError>,
-}
-
 /// How many events the per-event [`Iterator`] view lexes ahead per
-/// [`BulkLexer::fill`] call: large enough to amortize the refill, small
+/// [`ByteTokenizer::fill`] call: large enough to amortize the refill, small
 /// enough (4 bytes per event) to stay cache-resident.
 const ITER_BATCH: usize = 1024;
-
-/// The structural sweep methods of [`BulkLexer`] — named for what they
-/// classify. Each method owns one run kind and consumes (or measures) it
-/// with a dedicated unrolled byte loop over the validated window.
-///
-/// This is a marker trait tying the module's public story to the
-/// implementation: the lexer's per-run methods are the scanner.
-pub(crate) trait StructuralScanner {
-    /// Scans past inter-token whitespace; `false` means clean EOF.
-    fn skip_whitespace(&mut self) -> Result<bool, SaxError>;
-}
 
 /// What one [`step_token`] call did with the window.
 enum StepOutcome {
@@ -948,11 +915,10 @@ enum StepOutcome {
 /// next token if it completes inside `data`, charging `budget` per event.
 ///
 /// This is the *shared* per-token arm of both fill backends:
-/// [`BulkLexer::fill_window_swar`] is nothing but a loop of these, and the
-/// block-classified fill delegates every case its masks flag as complex to
-/// exactly one of these — so the backends agree with each other (and, via
-/// `LexerCore`, with the char-level lexer) by construction rather than by
-/// parallel maintenance.
+/// `ByteTokenizer::fill_window_swar` is nothing but a loop of these, and
+/// the block-classified fill delegates every case its masks flag as complex
+/// to exactly one of these — so the backends agree with each other by
+/// construction rather than by parallel maintenance.
 #[inline(always)]
 fn step_token<N: ResolveName>(
     core: &mut LexerCore<N>,
@@ -1055,9 +1021,12 @@ fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
     (w0, w1 & (!0u64 >> (128 - 8 * len)))
 }
 
-impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
-    pub(crate) fn new(reader: R, names: N) -> Self {
-        BulkLexer {
+impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
+    /// Creates a tokenizer over a byte stream, resolving symbol names
+    /// through `names`: `&mut Alphabet` interns them, `&Alphabet` looks
+    /// them up read-only.
+    pub fn new(reader: R, names: N) -> Self {
+        ByteTokenizer {
             window: ChunkWindow::new(reader),
             core: LexerCore::new(names),
             ready: Vec::new(),
@@ -1086,22 +1055,24 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 
     /// Lexes events in bulk into `out` until roughly `max` are buffered or
-    /// the stream ends — the slice-producing entry behind
-    /// `queries::run_streaming_reader` and the per-event iterators.
+    /// the stream ends — the slice-producing entry the bytes-in →
+    /// verdict-out pipeline (`queries::run_streaming_reader`) feeds to the
+    /// engines' bulk stepping, and the refill behind the per-event
+    /// iterator. Interleaving `next()` and `fill` keeps the emission order.
     ///
     /// The hot loop sweeps the *current* window with a local cursor: no
     /// per-event `Result` plumbing, no window bookkeeping, no method
     /// dispatch — one `consume` per window, not per token. Anything that
     /// cannot be finished inside the window (a token cut by the chunk seam,
-    /// a directive, EOF, a deferred UTF-8 error) falls back to the general
-    /// per-event path ([`Self::next_event`]), which grows the window and
-    /// agrees with the fast loop token-for-token by sharing `LexerCore`.
+    /// a directive, EOF, a deferred UTF-8 error) falls back to a general
+    /// per-event path, which grows the window and agrees with the fast loop
+    /// token-for-token by sharing the same event builder.
     ///
-    /// Events already pushed to `out` stay there when an error is returned
-    /// — callers either discard them (the error is the outcome) or, like
-    /// the draining iterator, hand them out before surfacing the error,
-    /// which is exactly the per-event emission order.
-    pub(crate) fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
+    /// Events lexed before an error stay in `out` (in emission order) when
+    /// `Err` is returned — callers either discard them (the error is the
+    /// outcome) or, like the draining iterator, hand them out before
+    /// surfacing the error, which is exactly the per-event emission order.
+    pub fn fill(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         // Events the iterator view lexed ahead (and a deferred error) come
         // first, so interleaving `next()` and `fill` stays in order.
         while self.ready_pos < self.ready.len() {
@@ -1398,6 +1369,41 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
         }
     }
 
+    /// Scans past inter-token whitespace; `false` means clean EOF.
+    fn skip_whitespace(&mut self) -> Result<bool, SaxError> {
+        loop {
+            let data = self.window.data();
+            let n = data.len();
+            let mut i = 0;
+            let mut stop = false;
+            while i < n {
+                let b = data[i];
+                if b < 0x80 {
+                    if is_ascii_ws(b) {
+                        i += 1;
+                        continue;
+                    }
+                    stop = true;
+                    break;
+                }
+                let (c, len) = decode_scalar(&data[i..]);
+                if c.is_whitespace() {
+                    i += len;
+                    continue;
+                }
+                stop = true;
+                break;
+            }
+            self.window.consume(i);
+            if stop {
+                return Ok(true);
+            }
+            if !self.window.grow()? {
+                return Ok(false);
+            }
+        }
+    }
+
     /// Lexes one whitespace-delimited text token, with the window cursor on
     /// its first byte: one sweep to the next `<` or whitespace, then a
     /// single name resolution over the whole slice.
@@ -1487,11 +1493,14 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 
     /// Skips or lexes one directive, with the window cursor just past the
-    /// consumed `<!` or `<?` (`lead` is the second byte). Mirrors
-    /// [`EventLexer::lex_directive`](crate::sax::EventLexer) exactly,
-    /// including the quirky corners: `<!-` with no second dash falls
-    /// through to the bracket scan, and a partial `CDATA[` marker leaves
-    /// the consumed `[` as one open bracket level.
+    /// consumed `<!` or `<?` (`lead` is the second byte). Comments run to
+    /// `-->`, processing instructions to `?>`, CDATA sections to `]]>`
+    /// (their content is queued as text tokens), and other declarations
+    /// (`<!DOCTYPE …>`) to the first `>` outside a `[ … ]` internal subset.
+    /// Attribute-quote rules do not apply inside directives. The quirky
+    /// corners: `<!-` with no second dash falls through to the bracket
+    /// scan, and a partial `CDATA[` marker leaves the consumed `[` as one
+    /// open bracket level.
     fn lex_directive(&mut self, tag_start: usize, lead: u8) -> Result<(), SaxError> {
         if lead == b'!' && self.peek_byte()? == Some(b'-') {
             self.window.consume(1);
@@ -1643,43 +1652,7 @@ impl<R: io::Read, N: ResolveName> BulkLexer<R, N> {
     }
 }
 
-impl<R: io::Read, N: ResolveName> StructuralScanner for BulkLexer<R, N> {
-    fn skip_whitespace(&mut self) -> Result<bool, SaxError> {
-        loop {
-            let data = self.window.data();
-            let n = data.len();
-            let mut i = 0;
-            let mut stop = false;
-            while i < n {
-                let b = data[i];
-                if b < 0x80 {
-                    if is_ascii_ws(b) {
-                        i += 1;
-                        continue;
-                    }
-                    stop = true;
-                    break;
-                }
-                let (c, len) = decode_scalar(&data[i..]);
-                if c.is_whitespace() {
-                    i += len;
-                    continue;
-                }
-                stop = true;
-                break;
-            }
-            self.window.consume(i);
-            if stop {
-                return Ok(true);
-            }
-            if !self.window.grow()? {
-                return Ok(false);
-            }
-        }
-    }
-}
-
-impl<R: io::Read, N: ResolveName> Iterator for BulkLexer<R, N> {
+impl<R: io::Read, N: ResolveName> Iterator for ByteTokenizer<R, N> {
     type Item = Result<TaggedSymbol, SaxError>;
 
     fn next(&mut self) -> Option<Self::Item> {

@@ -1,12 +1,15 @@
 //! Differential property suite for the bulk structural scanner.
 //!
 //! The contract under test: [`ByteTokenizer`] (the chunk-windowed bulk
-//! scanner in `nwa_xml::scan`) is token-for-token and error-for-error
-//! identical to the char-at-a-time [`EventLexer`] over the same bytes —
-//! under adversarial read sizes (1..=7-byte chunks so every multi-byte
-//! UTF-8 scalar gets split across a `read` seam), across the internal
-//! scan-window seam, for CDATA / comment / PI / DOCTYPE edge cases, and
-//! for inputs truncated at every byte offset.
+//! scanner in `nwa_xml::scan`) is token-for-token, error-for-error and
+//! alphabet-for-alphabet identical to the char-at-a-time reference lexer
+//! in `oracle/` over the same bytes — under adversarial read sizes
+//! (1..=7-byte chunks so every multi-byte UTF-8 scalar gets split across a
+//! `read` seam), across the internal scan-window seam, for CDATA / comment
+//! / PI / DOCTYPE edge cases, and for inputs truncated at every byte
+//! offset. The reference shares no code with the library: it decodes
+//! UTF-8, lexes and classifies tags on its own, and reaches the library
+//! only through the public `ResolveName` policy.
 //!
 //! With the `simd` feature on, the whole suite implicitly runs against the
 //! auto-detected wide backend (the backend is probed on first use), and an
@@ -15,11 +18,14 @@
 //! shifted across the kernels' 32/64-byte block seams and the 64 KiB scan
 //! window seam.
 
+mod oracle;
+
 use std::io;
 
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
-use nwa_xml::sax::{ByteTokenizer, EventLexer, FrozenByteTokenizer, SaxError, Utf8Chars};
+use nwa_xml::sax::{ByteTokenizer, FrozenByteTokenizer, SaxError};
+use oracle::{EventLexer, Utf8Chars};
 
 // --------------------------------------------------------------------------
 // Harness
@@ -52,12 +58,21 @@ impl io::Read for SplitReader<'_> {
     }
 }
 
-/// Events up to the first error, plus the error (as its `Debug` rendering,
-/// since `SaxError` carries non-`PartialEq` payloads). Errors must match
-/// *exactly* — variant, offset, and message.
-type Outcome = (Vec<TaggedSymbol>, Option<String>);
+/// Events up to the first error, the error (as its `Debug` rendering,
+/// since `SaxError` carries non-`PartialEq` payloads), and the names the
+/// run interned, in intern order. Errors must match *exactly* — variant,
+/// offset, and message.
+type Outcome = (Vec<TaggedSymbol>, Option<String>, Vec<String>);
 
-fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Outcome {
+fn names(ab: &Alphabet) -> Vec<String> {
+    ab.symbols()
+        .map(|s| ab.name(s).expect("own symbol").to_owned())
+        .collect()
+}
+
+fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(
+    it: I,
+) -> (Vec<TaggedSymbol>, Option<String>) {
     let mut events = Vec::new();
     for item in it {
         match item {
@@ -73,15 +88,18 @@ fn drain<I: Iterator<Item = Result<TaggedSymbol, SaxError>>>(it: I) -> Outcome {
 /// byte offsets in errors line up with the subject's.
 fn reference(data: &[u8], chunk: usize) -> Outcome {
     let mut ab = Alphabet::new();
-    let lexer = EventLexer::new(Utf8Chars::new(SplitReader::new(data, chunk)), &mut ab);
-    drain(lexer)
+    let (events, err) = drain(EventLexer::new(
+        Utf8Chars::new(SplitReader::new(data, chunk)),
+        &mut ab,
+    ));
+    (events, err, names(&ab))
 }
 
 /// Subject outcome via the `Iterator` entry point.
 fn bulk_iter(data: &[u8], chunk: usize) -> Outcome {
     let mut ab = Alphabet::new();
-    let tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
-    drain(tok)
+    let (events, err) = drain(ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab));
+    (events, err, names(&ab))
 }
 
 /// Subject outcome via the slice-producing `fill` entry point, pulling in
@@ -90,21 +108,20 @@ fn bulk_fill(data: &[u8], chunk: usize, batch: usize) -> Outcome {
     let mut ab = Alphabet::new();
     let mut tok = ByteTokenizer::new(SplitReader::new(data, chunk), &mut ab);
     let mut events = Vec::new();
-    loop {
+    let err = loop {
         let before = events.len();
         match tok.fill(&mut events, before + batch.max(1)) {
-            Ok(()) => {
-                if events.len() == before {
-                    return (events, None);
-                }
-            }
-            Err(e) => return (events, Some(format!("{e:?}"))),
+            Ok(()) if events.len() == before => break None,
+            Ok(()) => {}
+            Err(e) => break Some(format!("{e:?}")),
         }
-    }
+    };
+    (events, err, names(&ab))
 }
 
 /// Asserts the bulk scanner matches the char-at-a-time reference on `data`
-/// for every adversarial chunk size, through both entry points.
+/// — events, error and alphabet — for every adversarial chunk size,
+/// through both entry points.
 fn assert_equivalent(data: &[u8], label: &str) {
     let expected = reference(data, data.len().max(1));
     for chunk in [1, 2, 3, 4, 5, 6, 7, data.len().max(1)] {

@@ -687,7 +687,8 @@ fn get_map2(
     count: usize,
     sigma: usize,
 ) -> Result<std::collections::HashMap<(u32, u16), u32>, PersistError> {
-    let len = decode_count(r.get_u64()?, "memo map length overflows")?;
+    // Rows are (summary, symbol, summary): three u32s.
+    let len = r.get_count(3 * 4)?;
     let mut map = std::collections::HashMap::with_capacity(len);
     for _ in 0..len {
         let q = decode_id(r.get_u32()?, count)?;
@@ -707,7 +708,8 @@ fn get_map2(
 type Map4 = std::collections::HashMap<(u32, u16, u32, u16), u32>;
 
 fn get_map4(r: &mut Reader<'_>, count: usize, sigma: usize) -> Result<Map4, PersistError> {
-    let len = decode_count(r.get_u64()?, "memo map length overflows")?;
+    // Rows are (outer, call symbol, inner, symbol, summary): five u32s.
+    let len = r.get_count(5 * 4)?;
     let mut map = std::collections::HashMap::with_capacity(len);
     for _ in 0..len {
         let outer = decode_id(r.get_u32()?, count)?;

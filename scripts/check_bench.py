@@ -29,9 +29,9 @@ not regressed.
 the byte-throughput groups). Unlike the speedup metrics this does NOT
 cancel out runner hardware, so set it well below what the slowest
 expected runner sustains: it exists to catch order-of-magnitude cliffs
-(e.g. the bytes->verdict pipeline silently falling off its bulk-scan
-path back to per-character lexing), not percent-level drift — the
-sibling-normalized tolerance check handles that.
+(e.g. the bytes->verdict pipeline dropping to the ~50 MB/s of the
+char-at-a-time lexing the bulk scanner replaced), not percent-level
+drift — the sibling-normalized tolerance check handles that.
 
 Absolute throughputs are printed for context either way; the E15c
 acceptance bar (compiled NWA >= 2x interpreted at 1M events), the E17a

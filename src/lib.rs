@@ -130,8 +130,8 @@ pub mod prelude {
     };
     pub use nwa_pushdown::{Pnwa, PnwaMode};
     pub use nwa_service::{
-        BatchRun, DecisionError, DecisionService, DynBatchRun, MultiHandle, MultiSubmitError,
-        ParkError, ParkedDoc, ParkedHandle, ServiceConfig,
+        DecisionError, DecisionService, MultiHandle, MultiSubmitError, ParkError, ParkedDoc,
+        ParkedHandle, ServiceConfig,
     };
     pub use pushdown_automata::{Cfg, PushdownTreeAutomaton};
     pub use tree_automata::{

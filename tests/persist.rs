@@ -244,6 +244,44 @@ fn corrupt_bytes_are_typed_errors_for_every_engine() {
     check_corruption_rejected(&joinless_from_nwa(&nnwa).compile(), "compiled joinless");
 }
 
+/// A checksum-valid image whose memo-map length claims more rows than the
+/// payload holds loads as a typed error instead of sizing an allocation by
+/// the claim (2^40 rows used to abort the process, which no
+/// `catch_unwind` can stop). The checksum proves integrity, not
+/// authenticity, so every edited image is re-sealed and only the decoder
+/// stands between the length field and the allocator.
+#[test]
+fn resealed_hostile_memo_lengths_are_typed_errors() {
+    use nested_words_suite::automata_core::persist::{checksum_bytes, HEADER_LEN};
+
+    let bytes = query::save(&random_nnwa_with_transitions(3, 2, 8, 7).compile());
+    // A cold cache saves its four memo maps (internal, call, pending,
+    // matched) last, as four zero row counts.
+    let memo_at = bytes.len() - 4 * 8;
+    assert!(
+        bytes[memo_at..].iter().all(|&b| b == 0),
+        "a cold image ends in four empty memo maps"
+    );
+    for map in 0..4 {
+        for len in [1u64 << 20, 1 << 40, u64::MAX / 12, u64::MAX] {
+            let mut hostile = bytes.clone();
+            let at = memo_at + 8 * map;
+            hostile[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            let checksum = checksum_bytes(&hostile[HEADER_LEN..]);
+            hostile[24..32].copy_from_slice(&checksum.to_le_bytes());
+            let err = query::load::<CompiledSummary<Nnwa>>(&hostile)
+                .expect_err("an overlong memo map must not load");
+            assert!(
+                matches!(
+                    err,
+                    PersistError::Truncated { .. } | PersistError::Malformed { .. }
+                ),
+                "map {map}, length {len}: got {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn artifacts_reject_foreign_bytes_and_foreign_snapshots() {
     let nwa_artifact = random_det_nwa(3, 2, 1).compile();

@@ -1,5 +1,5 @@
-//! Property tests for the batched-execution subsystem (`BatchAcceptor`, the
-//! `nwa-service` runners and the `DecisionService` facade).
+//! Property tests for the batched-execution subsystem (`BatchAcceptor` and
+//! the `nwa-service` `DecisionService` facade).
 //!
 //! The two laws stated on `automata_core::BatchAcceptor` are checked for
 //! every compiled engine, on seeded random tagged words with pending calls
@@ -23,7 +23,7 @@ mod common;
 use common::{prop_iters, random_det_nwa, random_dfa, random_nnwa_with_transitions};
 use nested_words_suite::nested_words::generate::{random_nested_word, NestedWordConfig};
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
-use nested_words_suite::nwa_service::{BatchRun, DecisionService, DynBatchRun, ServiceConfig};
+use nested_words_suite::nwa_service::{DecisionService, ServiceConfig};
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -72,10 +72,12 @@ fn assert_lane_matches_run<A: BatchAcceptor>(a: &A, stream: &[TaggedSymbol], ctx
     }
 }
 
-/// Law 2 for one artifact over a batch of streams, through all three
-/// spellings of batched execution: the trait's `run_batch` (via the
-/// `query::run_batch` facade), the const-lane `BatchRun`, and the
-/// runtime-width `DynBatchRun`.
+/// Law 2 for one artifact over a batch of streams, through both spellings
+/// of batched execution: the trait's `run_batch` (via the `query::run_batch`
+/// facade), and lanes driven directly through `lane_start` / `lane_step` /
+/// `lane_outcome` — four at a time in lockstep rounds over each chunk's
+/// common prefix, then each lane's tail alone, the interleaving a serving
+/// loop performs.
 fn assert_batch_matches_sequential<A: BatchAcceptor>(
     a: &A,
     streams: &[Vec<TaggedSymbol>],
@@ -88,31 +90,24 @@ fn assert_batch_matches_sequential<A: BatchAcceptor>(
         .collect();
     assert_eq!(query::run_batch(a, &slices), sequential, "{ctx}: run_batch");
 
-    let mut dyn_run = DynBatchRun::new(a, slices.len());
-    assert_eq!(dyn_run.run(&slices), sequential, "{ctx}: DynBatchRun");
-
-    // Fixed-width lanes over chunks of 4, resetting between refills.
-    let mut fixed: BatchRun<'_, A, 4> = BatchRun::new(a);
     for (chunk_index, chunk) in slices.chunks(4).enumerate() {
-        for lane in 0..chunk.len() {
-            fixed.reset(lane);
-        }
+        let mut lanes: Vec<A::Lane> = chunk.iter().map(|_| a.lane_start()).collect();
         let common = chunk.iter().map(|s| s.len()).min().unwrap_or(0);
         for round in 0..common {
-            for (lane, stream) in chunk.iter().enumerate() {
-                fixed.step(lane, stream[round]);
+            for (lane, stream) in lanes.iter_mut().zip(chunk) {
+                a.lane_step(lane, stream[round]);
             }
         }
-        for (lane, stream) in chunk.iter().enumerate() {
+        for (lane, stream) in lanes.iter_mut().zip(chunk) {
             for &event in &stream[common..] {
-                fixed.step(lane, event);
+                a.lane_step(lane, event);
             }
         }
-        for (lane, _) in chunk.iter().enumerate() {
+        for (i, lane) in lanes.iter().enumerate() {
             assert_eq!(
-                fixed.outcome(lane),
-                sequential[chunk_index * 4 + lane],
-                "{ctx}: BatchRun chunk {chunk_index} lane {lane}"
+                a.lane_outcome(lane),
+                sequential[chunk_index * 4 + i],
+                "{ctx}: interleaved lanes, chunk {chunk_index} lane {i}"
             );
         }
     }
