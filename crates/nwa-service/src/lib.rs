@@ -23,14 +23,17 @@
 //!   thread-pool facade over batched execution. The compiled artifact is
 //!   built once and shared (`Arc`'d — the artifacts are `Send + Sync`);
 //!   worker threads pull submitted streams from a queue into batch slots
-//!   and answer through completion handles. [`DecisionService::submit_bytes`]
-//!   routes raw XML bytes through the incremental SAX `FrozenByteTokenizer`
+//!   and answer through one completion handle type, [`Handle<T>`] —
+//!   aliased [`DecisionHandle`] for a verdict and [`ParkedHandle`] for a
+//!   re-parked document — with `wait`, `wait_timeout` and `try_outcome`.
+//!   [`DecisionService::submit_bytes`] routes raw XML bytes through the
+//!   incremental SAX `FrozenByteTokenizer`
 //!   (read-only name lookup against the compiled alphabet), so the external
 //!   API is bytes-in → verdict-out; [`DecisionService::submit`] validates
 //!   event symbols against the same alphabet, so nothing out of range ever
 //!   reaches the tables. Every handle is always fulfilled — worker panics
 //!   surface as a typed [`DecisionError`], never a hung
-//!   [`DecisionHandle::wait`]. Built-in counters ([`ServiceStats`]) report
+//!   [`Handle::wait`]. Built-in counters ([`ServiceStats`]) report
 //!   per-worker batches, documents, events, failures and lane occupancy,
 //!   plus queue high-water marks. A service can also boot straight from
 //!   saved artifact bytes ([`DecisionService::from_artifact_bytes`], fully
@@ -43,8 +46,9 @@
 //!   artifact is a multi-query set (`automata_core::MultiAcceptor`, e.g. an
 //!   `nwa::QuerySet`), [`DecisionService::submit_multi`] decides one stream
 //!   against every member query in one pass and answers through a
-//!   [`MultiHandle`] carrying all M verdicts, with each member's alphabet
-//!   fingerprint validated up front ([`MultiSubmitError`]).
+//!   `Handle<Vec<StreamOutcome>>` carrying all M verdicts, with each
+//!   member's alphabet fingerprint validated up front
+//!   ([`MultiSubmitError`]).
 //!
 //! This outgrows the single-shot WALi-OpenNWA `query::language` shape the
 //! suite's decision layer was modeled on: the unit of work is no longer one
@@ -83,6 +87,6 @@
 pub mod service;
 
 pub use service::{
-    DecisionError, DecisionHandle, DecisionService, MultiHandle, MultiSubmitError, ParkError,
-    ParkedDoc, ParkedHandle, ServiceConfig, ServiceStats, WorkerStats,
+    DecisionError, DecisionHandle, DecisionService, Handle, MultiSubmitError, ParkError, ParkedDoc,
+    ParkedHandle, ServiceConfig, ServiceStats, WorkerStats,
 };

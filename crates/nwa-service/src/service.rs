@@ -11,9 +11,17 @@
 //! are `Send + Sync` precisely so that a single table can serve every
 //! worker.
 //!
+//! There is one completion handle type, [`Handle<T>`], over a typed slot:
+//! [`DecisionHandle`] (`Handle<StreamOutcome>`) and [`ParkedHandle`]
+//! (`Handle<ParkedDoc>`) are aliases of it, and
+//! [`submit_multi`](DecisionService::submit_multi) returns a
+//! `Handle<Vec<StreamOutcome>>`. Every handle offers
+//! [`wait`](Handle::wait), [`wait_timeout`](Handle::wait_timeout) and
+//! [`try_outcome`](Handle::try_outcome).
+//!
 //! Every handle handed out is always fulfilled: submissions are validated
 //! against the compiled alphabet before queuing, a worker that panics in
-//! the batch kernel fulfils its batch's handles with a typed
+//! the batch kernel or in a task fulfils the affected handles with a typed
 //! [`DecisionError`] (and survives), and dropping the service drains the
 //! queue before joining the workers.
 //!
@@ -43,8 +51,8 @@
 //! Multi-query artifacts (`automata_core::MultiAcceptor`, e.g. an
 //! `nwa::QuerySet`) plug in through [`DecisionService::submit_multi`]: one
 //! submission decides a stream against every member query in one pass and
-//! returns a [`MultiHandle`] for all M verdicts — one queue slot and one
-//! worker dispatch instead of M. Each member's alphabet fingerprint is
+//! returns a handle for all M verdicts — one queue slot and one worker
+//! dispatch instead of M. Each member's alphabet fingerprint is
 //! validated against the service's alphabet before anything is queued, so a
 //! query compiled over the wrong alphabet is one typed
 //! [`MultiSubmitError`] up front.
@@ -67,16 +75,17 @@ use nwa_xml::sax::{FrozenByteTokenizer, SaxError};
 
 /// Why a submitted stream ended without a verdict.
 ///
-/// This is the failure channel of a [`DecisionHandle`]: every handle the
-/// service hands out is always fulfilled — with `Ok(StreamOutcome)` on the
-/// happy path, or with one of these if the decision could not be made — so
-/// [`DecisionHandle::wait`] can never hang on a dead worker.
+/// This is the failure channel of a [`Handle`]: every handle the service
+/// hands out is always fulfilled — with its value on the happy path, or
+/// with one of these if the work could not be done — so [`Handle::wait`]
+/// can never hang on a dead worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionError {
     /// The worker thread running this unit of work panicked — inside the
-    /// artifact's batch kernel (every stream of that batch gets this error)
-    /// or while advancing this parked document. The worker itself survives
-    /// and keeps serving subsequent batches.
+    /// artifact's batch kernel (every stream of that batch gets this error),
+    /// while advancing this parked document or while running this
+    /// multi-query submission. The worker itself survives and keeps serving
+    /// subsequent batches.
     WorkerPanicked,
 }
 
@@ -159,171 +168,108 @@ impl Default for ServiceConfig {
     }
 }
 
-/// An advance-burst closure: owns the already-resumed lane and the burst
-/// of events, runs on a worker against the shared artifact, and yields the
-/// re-parked snapshot. Multi-query submissions reuse the same shape — the
-/// closure owns the validated stream and runs the artifact's query-set
-/// entry points, so the worker loop stays free of the [`MultiAcceptor`]
-/// bound.
-type AdvanceTask<A> = Box<dyn FnOnce(&A) -> Fulfilment + Send>;
+/// A queued unit of work other than a batched full-stream decision: an
+/// [`advance`](DecisionService::advance) burst or a
+/// [`submit_multi`](DecisionService::submit_multi) run. The closure owns its
+/// validated input and its typed [`Slot`], runs against the shared artifact
+/// under `catch_unwind`, reports success or failure through the worker's
+/// `settle` callback, and only then fulfils its slot.
+type Task<A> = Box<dyn FnOnce(&A, &dyn Fn(bool)) + Send>;
 
 /// What a worker does with one queued job.
 enum Payload<A> {
     /// Decide one whole stream through the batched kernel.
-    Decide(Vec<TaggedSymbol>),
-    /// Advance one parked document by an [`AdvanceTask`] burst.
-    Advance { task: AdvanceTask<A>, events: usize },
-    /// Decide one whole stream against every member query of a multi-query
-    /// artifact in one pass.
-    Multi { task: AdvanceTask<A>, events: usize },
+    Decide(Vec<TaggedSymbol>, Arc<Slot<StreamOutcome>>),
+    /// Run one boxed [`Task`] consuming `events` events.
+    Task { task: Task<A>, events: usize },
 }
 
 impl<A> std::fmt::Debug for Payload<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Payload::Decide(events) => f.debug_tuple("Decide").field(&events.len()).finish(),
-            Payload::Advance { events, .. } => {
-                f.debug_struct("Advance").field("events", events).finish()
-            }
-            Payload::Multi { events, .. } => {
-                f.debug_struct("Multi").field("events", events).finish()
-            }
+            Payload::Decide(events, _) => f.debug_tuple("Decide").field(&events.len()).finish(),
+            Payload::Task { events, .. } => f.debug_struct("Task").field("events", events).finish(),
         }
     }
 }
 
-/// A submitted unit of work waiting for a worker.
+/// The completion cell behind a [`Handle`].
 #[derive(Debug)]
-struct Job<A> {
-    payload: Payload<A>,
-    slot: Arc<Slot>,
-}
-
-/// The happy-path value a worker fulfils a slot with: a full-stream verdict
-/// (behind a [`DecisionHandle`]) or a re-parked document (behind a
-/// [`ParkedHandle`]). Which variant a slot gets is fixed by the payload
-/// that created it, so each handle type unwraps its own variant.
-#[derive(Debug, Clone)]
-enum Fulfilment {
-    Decided(StreamOutcome),
-    Parked(ParkedDoc),
-    MultiDecided(Vec<StreamOutcome>),
-}
-
-/// Maps a slot fulfilment to the verdict a [`DecisionHandle`] promises.
-/// Decide jobs are only ever fulfilled with [`Fulfilment::Decided`], so the
-/// other arms are unreachable by construction.
-fn decided(outcome: &Result<Fulfilment, DecisionError>) -> Result<StreamOutcome, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::Decided(outcome)) => Ok(*outcome),
-        Ok(Fulfilment::Parked(_) | Fulfilment::MultiDecided(_)) => {
-            unreachable!("decide job fulfilled with the wrong variant")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// Maps a slot fulfilment to the re-parked document a [`ParkedHandle`]
-/// promises; the other arms are unreachable by construction.
-fn parked(outcome: &Result<Fulfilment, DecisionError>) -> Result<ParkedDoc, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::Parked(doc)) => Ok(doc.clone()),
-        Ok(Fulfilment::Decided(_) | Fulfilment::MultiDecided(_)) => {
-            unreachable!("advance job fulfilled with the wrong variant")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// Maps a slot fulfilment to the per-query verdicts a [`MultiHandle`]
-/// promises; the single-verdict arms are unreachable by construction.
-fn multi_decided(
-    outcome: &Result<Fulfilment, DecisionError>,
-) -> Result<Vec<StreamOutcome>, DecisionError> {
-    match outcome {
-        Ok(Fulfilment::MultiDecided(outcomes)) => Ok(outcomes.clone()),
-        Ok(Fulfilment::Decided(_) | Fulfilment::Parked(_)) => {
-            unreachable!("multi-query job fulfilled with a single verdict")
-        }
-        Err(error) => Err(*error),
-    }
-}
-
-/// The completion cell behind a [`DecisionHandle`] or [`ParkedHandle`].
-#[derive(Debug, Default)]
-struct Slot {
-    result: Mutex<Option<Result<Fulfilment, DecisionError>>>,
+struct Slot<T> {
+    result: Mutex<Option<Result<T, DecisionError>>>,
     done: Condvar,
 }
 
-impl Slot {
-    fn fulfil(&self, outcome: Result<Fulfilment, DecisionError>) {
-        let mut result = self.result.lock().expect("decision slot poisoned");
-        *result = Some(outcome);
+impl<T> Default for Slot<T> {
+    fn default() -> Self {
+        Slot {
+            result: Mutex::new(None),
+            done: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Result<T, DecisionError>>> {
+        self.result.lock().expect("decision slot poisoned")
+    }
+
+    fn fulfil(&self, outcome: Result<T, DecisionError>) {
+        *self.lock() = Some(outcome);
         self.done.notify_all();
     }
 }
 
-/// The caller's side of one submitted decision: a future for a single
-/// [`StreamOutcome`], fulfilled by whichever worker's batch the stream
-/// landed in.
+/// The caller's side of one submitted unit of work: a future for a `T`,
+/// fulfilled by whichever worker ran it — a [`StreamOutcome`] behind a
+/// [`DecisionHandle`], a re-parked document behind a [`ParkedHandle`], or
+/// every member verdict of a [`submit_multi`](DecisionService::submit_multi).
 ///
-/// Fulfilment is guaranteed: a worker that panics in the batch kernel
-/// fulfils every handle of its batch with
-/// [`DecisionError::WorkerPanicked`] instead of a verdict, and dropping the
-/// service drains the queue first — so [`wait`](DecisionHandle::wait)
-/// always returns. [`wait_timeout`](DecisionHandle::wait_timeout) bounds
-/// the wait anyway for callers that must not block on a congested queue.
+/// Every handle is fulfilled: a worker that panics fulfils the handles of
+/// the work it was running with [`DecisionError::WorkerPanicked`] instead
+/// of a value, and dropping the service drains the queue first — so
+/// [`wait`](Handle::wait) always returns.
+/// [`wait_timeout`](Handle::wait_timeout) bounds the wait anyway for
+/// callers that must not block on a congested queue.
 #[derive(Debug, Clone)]
-pub struct DecisionHandle {
-    slot: Arc<Slot>,
+pub struct Handle<T> {
+    slot: Arc<Slot<T>>,
 }
 
-impl DecisionHandle {
-    /// Blocks until the decision is in and returns it: the verdict, or the
+impl<T: Clone> Handle<T> {
+    /// Blocks until the work is done and returns its value, or the
     /// [`DecisionError`] explaining why there is none. Waiting again
     /// returns the same result.
-    pub fn wait(&self) -> Result<StreamOutcome, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return decided(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
+    pub fn wait(&self) -> Result<T, DecisionError> {
+        let result = self
+            .slot
+            .done
+            .wait_while(self.slot.lock(), |result| result.is_none())
+            .expect("decision slot poisoned");
+        result.clone().expect("wait_while returns a fulfilled slot")
     }
 
-    /// Like [`wait`](DecisionHandle::wait), but gives up after `timeout`
-    /// and returns `None` if the decision is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<StreamOutcome, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(decided(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                // A fulfilment racing the timeout still counts.
-                return result.as_ref().map(decided);
-            }
-        }
+    /// Like [`wait`](Handle::wait), but gives up after `timeout` and
+    /// returns `None` if the work is still pending.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, DecisionError>> {
+        let (result, _) = self
+            .slot
+            .done
+            .wait_timeout_while(self.slot.lock(), timeout, |result| result.is_none())
+            .expect("decision slot poisoned");
+        result.clone()
     }
 
-    /// The decision if it is already in, without blocking.
-    pub fn try_outcome(&self) -> Option<Result<StreamOutcome, DecisionError>> {
-        self.slot
-            .result
-            .lock()
-            .expect("decision slot poisoned")
-            .as_ref()
-            .map(decided)
+    /// The result if it is already in, without blocking.
+    pub fn try_outcome(&self) -> Option<Result<T, DecisionError>> {
+        self.slot.lock().clone()
     }
 }
+
+/// The handle [`submit`](DecisionService::submit) and
+/// [`submit_bytes`](DecisionService::submit_bytes) return: one stream's
+/// verdict.
+pub type DecisionHandle = Handle<StreamOutcome>;
 
 /// One parked in-flight document: an owned, serializable unit of run state
 /// that any service holding the same artifact — or a byte-identical reload
@@ -380,114 +326,15 @@ impl From<Snapshot> for ParkedDoc {
     }
 }
 
-/// The caller's side of one in-flight [`DecisionService::advance`]: a
-/// future for the re-parked document, fulfilled by whichever worker ran the
-/// burst. Fulfilment is guaranteed exactly as for [`DecisionHandle`].
-#[derive(Debug, Clone)]
-pub struct ParkedHandle {
-    slot: Arc<Slot>,
-}
+/// The handle [`advance`](DecisionService::advance) returns: the document
+/// re-parked after its burst.
+pub type ParkedHandle = Handle<ParkedDoc>;
 
 impl ParkedHandle {
-    /// Blocks until the burst has been applied and returns the re-parked
-    /// document, or the [`DecisionError`] explaining why there is none.
-    /// Waiting again returns the same result.
-    pub fn wait(&self) -> Result<ParkedDoc, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return parked(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
-    }
-
-    /// Like [`wait`](ParkedHandle::wait), but gives up after `timeout` and
-    /// returns `None` if the burst is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<ParkedDoc, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(parked(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                return result.as_ref().map(parked);
-            }
-        }
-    }
-
-    /// The re-parked document if it is already in, without blocking.
+    /// The re-parked document if it is already in, without blocking: the
+    /// same as [`try_outcome`](Handle::try_outcome).
     pub fn try_parked(&self) -> Option<Result<ParkedDoc, DecisionError>> {
-        self.slot
-            .result
-            .lock()
-            .expect("decision slot poisoned")
-            .as_ref()
-            .map(parked)
-    }
-}
-
-/// The caller's side of one [`DecisionService::submit_multi`]: a future for
-/// all M per-query verdicts of one stream against a multi-query artifact,
-/// in query order. Fulfilment is guaranteed exactly as for
-/// [`DecisionHandle`].
-#[derive(Debug, Clone)]
-pub struct MultiHandle {
-    slot: Arc<Slot>,
-}
-
-impl MultiHandle {
-    /// Blocks until the stream has been decided and returns one
-    /// [`StreamOutcome`] per member query, or the [`DecisionError`]
-    /// explaining why there are none. Waiting again returns the same
-    /// result.
-    pub fn wait(&self) -> Result<Vec<StreamOutcome>, DecisionError> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return multi_decided(outcome);
-            }
-            result = self.slot.done.wait(result).expect("decision slot poisoned");
-        }
-    }
-
-    /// Like [`wait`](MultiHandle::wait), but gives up after `timeout` and
-    /// returns `None` if the verdicts are still pending.
-    pub fn wait_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Option<Result<Vec<StreamOutcome>, DecisionError>> {
-        let mut result = self.slot.result.lock().expect("decision slot poisoned");
-        loop {
-            if let Some(outcome) = result.as_ref() {
-                return Some(multi_decided(outcome));
-            }
-            let (guard, wait) = self
-                .slot
-                .done
-                .wait_timeout(result, timeout)
-                .expect("decision slot poisoned");
-            result = guard;
-            if wait.timed_out() {
-                return result.as_ref().map(multi_decided);
-            }
-        }
-    }
-
-    /// The per-query verdicts if they are already in, without blocking.
-    pub fn try_outcomes(&self) -> Option<Result<Vec<StreamOutcome>, DecisionError>> {
-        self.slot
-            .result
-            .lock()
-            .expect("decision slot poisoned")
-            .as_ref()
-            .map(multi_decided)
+        self.try_outcome()
     }
 }
 
@@ -563,7 +410,7 @@ struct WorkerCounters {
 /// and `Drop` deadlocks in `join`.
 #[derive(Debug)]
 struct QueueState<A> {
-    jobs: VecDeque<Job<A>>,
+    jobs: VecDeque<Payload<A>>,
     shutdown: bool,
 }
 
@@ -601,8 +448,8 @@ pub struct WorkerStats {
     /// submissions and parked-document bursts.
     pub events: u64,
     /// Units of work this worker failed — streams whose batch kernel
-    /// panicked, or parked-document bursts that panicked individually
-    /// (their handles were fulfilled with
+    /// panicked, or parked-document bursts and multi-query submissions that
+    /// panicked individually (their handles were fulfilled with
     /// [`DecisionError::WorkerPanicked`]).
     pub failures: u64,
     /// Mean fraction of the batch slot actually occupied, in `[0, 1]`:
@@ -616,10 +463,11 @@ pub struct WorkerStats {
 /// [`DecisionService::stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Units of work submitted so far (full streams and parked-document
-    /// bursts).
+    /// Units of work submitted so far (full streams, parked-document bursts
+    /// and multi-query submissions).
     pub submitted: u64,
-    /// Units of work fulfilled so far.
+    /// Units of work fulfilled so far (full streams, parked-document bursts
+    /// and multi-query submissions).
     pub completed: u64,
     /// Units of work currently waiting in the queue.
     pub queued: usize,
@@ -706,37 +554,64 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// [`NestedWordError::UnknownSymbol`] instead of indexing past the
     /// compiled transition tables inside a worker.
     pub fn submit(&self, events: Vec<TaggedSymbol>) -> Result<DecisionHandle, NestedWordError> {
+        self.check_symbols(&events)?;
+        Ok(self.decide(events))
+    }
+
+    /// The submission guard: every event's symbol must index inside the
+    /// alphabet the artifact was compiled against.
+    fn check_symbols(&self, events: &[TaggedSymbol]) -> Result<(), NestedWordError> {
         let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(NestedWordError::UnknownSymbol {
+        match events.iter().find(|e| e.symbol().index() >= sigma) {
+            Some(event) => Err(NestedWordError::UnknownSymbol {
                 name: event.symbol().to_string(),
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(DecisionHandle {
-            slot: self.enqueue(Payload::Decide(events)),
-        })
+    }
+
+    /// Queues one validated stream for the batched kernel.
+    fn decide(&self, events: Vec<TaggedSymbol>) -> DecisionHandle {
+        let slot = Arc::new(Slot::default());
+        self.enqueue(Payload::Decide(events, Arc::clone(&slot)));
+        Handle { slot }
+    }
+
+    /// Queues `work` as a [`Task`] over `events` validated events. The task
+    /// runs `work` under `catch_unwind`, so a panic fails only this unit of
+    /// work, and settles the worker's counters before fulfilling the
+    /// handle.
+    fn run_task<T: Send + 'static>(
+        &self,
+        events: usize,
+        work: impl FnOnce(&A) -> T + Send + 'static,
+    ) -> Handle<T> {
+        let slot = Arc::new(Slot::default());
+        let fulfil = Arc::clone(&slot);
+        let task: Task<A> = Box::new(move |artifact, settle| {
+            let outcome = catch_unwind(AssertUnwindSafe(|| work(artifact)))
+                .map_err(|_| DecisionError::WorkerPanicked);
+            settle(outcome.is_ok());
+            fulfil.fulfil(outcome);
+        });
+        self.enqueue(Payload::Task { task, events });
+        Handle { slot }
     }
 
     /// Queues one already-validated unit of work. Callers guarantee nothing
     /// the worker runs can fail validation (symbols index inside the
     /// compiled tables; parked lanes were resumed at submission).
-    fn enqueue(&self, payload: Payload<A>) -> Arc<Slot> {
-        let slot = Arc::new(Slot::default());
-        let job = Job {
-            payload,
-            slot: Arc::clone(&slot),
-        };
+    fn enqueue(&self, payload: Payload<A>) {
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let depth = {
             let mut queue = self.shared.queue.lock().expect("service queue poisoned");
-            queue.jobs.push_back(job);
+            queue.jobs.push_back(payload);
             queue.jobs.len()
         };
         self.shared
             .max_queue_depth
             .fetch_max(depth, Ordering::Relaxed);
         self.shared.available.notify_one();
-        slot
     }
 
     /// Submits a raw XML-ish byte stream: tokenizes it on the calling thread
@@ -761,9 +636,7 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
         }
         // Read-only resolution means every symbol is in the alphabet, so
         // queue directly — re-validating would find nothing.
-        Ok(DecisionHandle {
-            slot: self.enqueue(Payload::Decide(events)),
-        })
+        Ok(self.decide(events))
     }
 
     /// Snapshots the service's counters. The snapshot is not atomic across
@@ -825,7 +698,10 @@ impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A
     /// Then every event symbol is checked against the alphabet exactly as
     /// in [`submit`](DecisionService::submit), with unknown symbols
     /// reported as [`MultiSubmitError::Input`].
-    pub fn submit_multi(&self, events: Vec<TaggedSymbol>) -> Result<MultiHandle, MultiSubmitError> {
+    pub fn submit_multi(
+        &self,
+        events: Vec<TaggedSymbol>,
+    ) -> Result<Handle<Vec<StreamOutcome>>, MultiSubmitError> {
         let expected = fingerprint_alphabet(self.alphabet.len());
         for (query, found) in self
             .shared
@@ -842,27 +718,15 @@ impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A
                 });
             }
         }
-        let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(MultiSubmitError::Input(NestedWordError::UnknownSymbol {
-                name: event.symbol().to_string(),
-            }));
-        }
-        let count = events.len();
-        // The closure owns the validated stream and carries the
-        // `MultiAcceptor` entry points with it, keeping the worker loop on
-        // the plain `BatchAcceptor` bound.
-        let task: AdvanceTask<A> = Box::new(move |artifact: &A| {
+        self.check_symbols(&events)
+            .map_err(MultiSubmitError::Input)?;
+        // The task carries the `MultiAcceptor` entry points with it, keeping
+        // the worker loop on the plain `BatchAcceptor` bound.
+        Ok(self.run_task(events.len(), move |artifact: &A| {
             let mut run = artifact.start_set();
             run.step_slice(&events);
-            Fulfilment::MultiDecided(run.outcomes())
-        });
-        Ok(MultiHandle {
-            slot: self.enqueue(Payload::Multi {
-                task,
-                events: count,
-            }),
-        })
+            run.outcomes()
+        }))
     }
 }
 
@@ -914,33 +778,21 @@ impl<A: Suspend + Send + Sync + 'static> DecisionService<A> {
         parked: &ParkedDoc,
         events: Vec<TaggedSymbol>,
     ) -> Result<ParkedHandle, ParkError> {
-        let sigma = self.alphabet.len();
-        if let Some(event) = events.iter().find(|e| e.symbol().index() >= sigma) {
-            return Err(ParkError::Input(NestedWordError::UnknownSymbol {
-                name: event.symbol().to_string(),
-            }));
-        }
+        self.check_symbols(&events).map_err(ParkError::Input)?;
         let lane = self
             .shared
             .artifact
             .resume_lane(&parked.snapshot)
             .map_err(ParkError::Artifact)?;
-        let count = events.len();
-        let task: AdvanceTask<A> = Box::new(move |artifact: &A| {
+        Ok(self.run_task(events.len(), move |artifact: &A| {
             let mut lane = lane;
             for event in events {
                 artifact.lane_step(&mut lane, event);
             }
-            Fulfilment::Parked(ParkedDoc {
+            ParkedDoc {
                 snapshot: artifact.suspend_lane(&lane),
-            })
-        });
-        Ok(ParkedHandle {
-            slot: self.enqueue(Payload::Advance {
-                task,
-                events: count,
-            }),
-        })
+            }
+        }))
     }
 
     /// Closes a parked document: resumes it one last time and returns its
@@ -981,13 +833,13 @@ impl<A: BatchAcceptor + Send + Sync + 'static> Drop for DecisionService<A> {
 
 /// One worker: block for a first job, opportunistically top the batch up to
 /// `lanes` jobs without blocking, run the slot, fulfil the handles. Whole
-/// streams go through the batched runner in lockstep; parked-document
-/// bursts run one at a time on their already-resumed lanes. Exits only when
-/// shutdown is flagged *and* the queue is empty, so pending submissions are
-/// always drained.
+/// streams go through the batched runner in lockstep; tasks (parked-document
+/// bursts and multi-query runs) run one at a time. Exits only when shutdown
+/// is flagged *and* the queue is empty, so pending submissions are always
+/// drained.
 fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize) {
     loop {
-        let mut batch: Vec<Job<A>> = Vec::with_capacity(lanes);
+        let mut batch: Vec<Payload<A>> = Vec::with_capacity(lanes);
         {
             let mut queue = shared.queue.lock().expect("service queue poisoned");
             loop {
@@ -1011,16 +863,12 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
             }
         }
 
-        let mut decisions: Vec<(Vec<TaggedSymbol>, Arc<Slot>)> = Vec::new();
-        let mut advances: Vec<(AdvanceTask<A>, usize, Arc<Slot>)> = Vec::new();
+        let mut decisions: Vec<(Vec<TaggedSymbol>, Arc<Slot<StreamOutcome>>)> = Vec::new();
+        let mut tasks: Vec<(Task<A>, usize)> = Vec::new();
         for job in batch {
-            match job.payload {
-                Payload::Decide(events) => decisions.push((events, job.slot)),
-                // Advance bursts and multi-query runs share the boxed-task
-                // shape and the individually-caught execution path below.
-                Payload::Advance { task, events } | Payload::Multi { task, events } => {
-                    advances.push((task, events, job.slot))
-                }
+            match job {
+                Payload::Decide(events, slot) => decisions.push((events, slot)),
+                Payload::Task { task, events } => tasks.push((task, events)),
             }
         }
 
@@ -1060,7 +908,7 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
                         .completed
                         .fetch_add(decisions.len() as u64, Ordering::Relaxed);
                     for ((_, slot), outcome) in decisions.into_iter().zip(outcomes) {
-                        slot.fulfil(Ok(Fulfilment::Decided(outcome)));
+                        slot.fulfil(Ok(outcome));
                     }
                 }
                 Err(_) => {
@@ -1077,22 +925,18 @@ fn worker_loop<A: BatchAcceptor>(shared: &Shared<A>, index: usize, lanes: usize)
             }
         }
 
-        for (task, events, slot) in advances {
-            // Each advance owns its already-resumed lane, so one panicking
-            // burst cannot contaminate its batch-mates — catch it
-            // individually and keep the fulfilment guarantee per handle.
-            match catch_unwind(AssertUnwindSafe(|| task(&shared.artifact))) {
-                Ok(fulfilment) => {
+        // Each task owns its input (a parked burst its already-resumed
+        // lane), so one panicking task cannot contaminate its batch-mates:
+        // it catches its own unwind and settles here before fulfilling.
+        for (task, events) in tasks {
+            task(&shared.artifact, &|ok| {
+                if ok {
                     counters.events.fetch_add(events as u64, Ordering::Relaxed);
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    slot.fulfil(Ok(fulfilment));
-                }
-                Err(_) => {
+                } else {
                     counters.failures.fetch_add(1, Ordering::Relaxed);
-                    shared.completed.fetch_add(1, Ordering::Relaxed);
-                    slot.fulfil(Err(DecisionError::WorkerPanicked));
                 }
-            }
+                shared.completed.fetch_add(1, Ordering::Relaxed);
+            });
         }
     }
 }
@@ -1305,7 +1149,7 @@ mod tests {
         );
         // A handle nothing will ever fulfil times out instead of hanging.
         let orphan = DecisionHandle {
-            slot: Arc::new(Slot::default()),
+            slot: Arc::default(),
         };
         assert_eq!(orphan.wait_timeout(Duration::from_millis(10)), None);
         assert_eq!(orphan.try_outcome(), None);
@@ -1365,6 +1209,33 @@ mod tests {
         }
     }
 
+    /// `BombLane` doubles as a one-query set run, so `Bomb` also serves
+    /// `submit_multi` — and panics there on `Return` events too.
+    impl QuerySetRun for BombLane {
+        fn num_queries(&self) -> usize {
+            1
+        }
+        fn verdicts(&self) -> u64 {
+            1
+        }
+        fn outcomes(&self) -> Vec<StreamOutcome> {
+            vec![Bomb.lane_outcome(self)]
+        }
+    }
+
+    impl MultiAcceptor for Bomb {
+        type SetRun<'a> = BombLane;
+        fn start_set(&self) -> BombLane {
+            BombLane(0)
+        }
+        fn num_queries(&self) -> usize {
+            1
+        }
+        fn member_alphabet_fingerprints(&self) -> Vec<u64> {
+            vec![fingerprint_alphabet(1)]
+        }
+    }
+
     #[test]
     fn worker_panic_fulfils_handles_and_worker_survives() {
         let service = DecisionService::new(
@@ -1389,6 +1260,31 @@ mod tests {
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.workers.iter().map(|w| w.failures).sum::<u64>(), 1);
         assert_eq!(stats.workers.iter().map(|w| w.documents).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn task_panic_fulfils_its_handle_and_worker_survives() {
+        let service = DecisionService::new(
+            Bomb,
+            Alphabet::from_names(["a"]),
+            ServiceConfig {
+                workers: 1,
+                lanes: 2,
+            },
+        );
+        let a = Symbol(0);
+        // A multi-query run is a boxed task, not a batch: its panic is
+        // caught inside the task and fails only its own handle.
+        let bad = service.submit_multi(vec![TaggedSymbol::Return(a)]).unwrap();
+        assert_eq!(bad.wait(), Err(DecisionError::WorkerPanicked));
+        // The sole worker survived the unwind and still decides streams.
+        let good = service.submit(vec![TaggedSymbol::Internal(a)]).unwrap();
+        assert!(good.wait().unwrap().accepted);
+        // Counters settle before fulfilment, so no sleep is needed.
+        let stats = service.stats();
+        assert_eq!(stats.workers.iter().map(|w| w.failures).sum::<u64>(), 1);
+        assert_eq!(stats.completed, stats.submitted);
+        assert_eq!(stats.submitted, 2);
     }
 
     #[test]
@@ -1574,7 +1470,7 @@ mod tests {
                     lanes: 3,
                 },
             );
-            let handles: Vec<MultiHandle> = streams
+            let handles: Vec<Handle<Vec<StreamOutcome>>> = streams
                 .iter()
                 .map(|s| service.submit_multi(s.clone()).unwrap())
                 .collect();
@@ -1587,7 +1483,7 @@ mod tests {
                 }
                 // Waiting twice returns the same verdicts.
                 assert_eq!(handle.wait().unwrap(), outcomes);
-                assert_eq!(handle.try_outcomes(), Some(Ok(outcomes.clone())));
+                assert_eq!(handle.try_outcome(), Some(Ok(outcomes.clone())));
                 assert_eq!(
                     handle.wait_timeout(Duration::from_millis(10)),
                     Some(Ok(outcomes))

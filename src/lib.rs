@@ -130,7 +130,7 @@ pub mod prelude {
     };
     pub use nwa_pushdown::{Pnwa, PnwaMode};
     pub use nwa_service::{
-        DecisionError, DecisionService, MultiHandle, MultiSubmitError, ParkError, ParkedDoc,
+        DecisionError, DecisionService, Handle, MultiSubmitError, ParkError, ParkedDoc,
         ParkedHandle, ServiceConfig,
     };
     pub use pushdown_automata::{Cfg, PushdownTreeAutomaton};
