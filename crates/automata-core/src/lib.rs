@@ -21,7 +21,9 @@
 //!   ([`query::run_batch`]): N independent event streams advanced in
 //!   software-pipelined lockstep over one shared automaton, each stream's
 //!   state an owned `Send`able lane — the capability the `nwa-service`
-//!   batched runner and concurrent decision service drive;
+//!   batched runner and concurrent decision service drive. The lane is a
+//!   compiled artifact's only per-stream state: its [`StreamRun`] is the
+//!   generic [`LaneRun`], one lane next to a borrow of the artifact;
 //! * [`MultiCompile`] / [`MultiAcceptor`] / [`QuerySetRun`] — multi-query
 //!   execution ([`query::compile_set`], [`query::run_multi`]): M queries
 //!   compiled into one artifact stepped once per event, yielding a
@@ -39,10 +41,10 @@
 //!   fingerprint, payload checksum) turning corruption into a typed
 //!   [`PersistError`] instead of a panic;
 //! * [`Suspend`] — first-class run state ([`query::suspend`],
-//!   [`query::resume`]): a live run or lane exports an owned, serializable
-//!   [`Snapshot`] (state id + `u32` stack + peak/step counters — the
-//!   Theorem 1 memory bound made concrete), and any artifact with the same
-//!   fingerprint resumes it at the exact prefix;
+//!   [`query::resume`]): a live lane (a run's, via [`LaneRun::lane`])
+//!   exports an owned, serializable [`Snapshot`] (state id + `u32` stack +
+//!   peak/step counters — the Theorem 1 memory bound made concrete), and
+//!   any artifact with the same fingerprint resumes it at the exact prefix;
 //! * [`BooleanOps`] — intersection, union, complement;
 //! * [`Emptiness`] — the language-emptiness decision;
 //! * [`Decide`] — inclusion and equivalence, with default implementations
@@ -85,6 +87,6 @@ pub use compile::Compile;
 pub use ids::StateId;
 pub use multi::{MultiAcceptor, MultiCompile, QuerySetRun};
 pub use persist::{Persist, PersistError};
-pub use stream::{BatchAcceptor, StreamAcceptor, StreamOutcome, StreamRun};
+pub use stream::{BatchAcceptor, LaneRun, StreamAcceptor, StreamOutcome, StreamRun};
 pub use suspend::{Snapshot, Suspend};
 pub use traits::{Acceptor, BooleanOps, Decide, Emptiness, Minimize, Witness};

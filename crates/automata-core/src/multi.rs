@@ -15,14 +15,14 @@
 //! implementation may build a shared product table with per-state accept
 //! masks (one transition lookup per event, preferred for small sets over a
 //! common alphabet) or advance M compiled engines in lockstep over the same
-//! event (the [`BatchAcceptor`](crate::BatchAcceptor) lane shape) — both
-//! present the same [`QuerySetRun`] API, and
-//! [`query::run_multi`](crate::query::run_multi) /
+//! event. Either way the set's state is one [`BatchAcceptor`] lane, so
+//! both run through the same [`LaneRun`], present the same [`QuerySetRun`]
+//! API, and [`query::run_multi`](crate::query::run_multi) /
 //! `nwa_xml::queries::run_multi_streaming_reader` drive either. The
 //! reference implementation with both backends and a size heuristic between
 //! them is `nwa::QuerySet`.
 
-use crate::stream::{StreamOutcome, StreamRun};
+use crate::stream::{BatchAcceptor, LaneRun, StreamOutcome, StreamRun};
 
 /// The most queries one set may hold: verdicts travel as bits of one `u64`
 /// ([`QuerySetRun::verdicts`]), so a set is capped at 64 members. Larger
@@ -59,6 +59,12 @@ pub trait QuerySetRun: StreamRun {
 /// A compiled query-set artifact: M queries answered by one run over one
 /// stream.
 ///
+/// The set's per-stream state is its [`BatchAcceptor::Lane`]; the
+/// single-verdict lane observables are the *conjunction* view (the set
+/// accepts iff every member does), and
+/// [`lane_verdicts`](MultiAcceptor::lane_verdicts) reads the per-query
+/// answers off the same lane.
+///
 /// Laws (property-tested in `tests/multiquery.rs`):
 ///
 /// 1. **set ≡ sequential** — at every prefix, bit `i` of
@@ -68,19 +74,14 @@ pub trait QuerySetRun: StreamRun {
 /// 2. **one stream** — all M outcomes report the same `events` count;
 /// 3. **representation-free** — a product-table backend and a lockstep
 ///    backend over the same queries agree on every stream.
-pub trait MultiAcceptor {
-    /// The multi-query run type; borrows the artifact for the duration of
-    /// the run.
-    type SetRun<'a>: QuerySetRun
-    where
-        Self: 'a;
-
-    /// Starts a fresh run of all member queries in their initial
-    /// configurations.
-    fn start_set(&self) -> Self::SetRun<'_>;
-
+pub trait MultiAcceptor: BatchAcceptor {
     /// Number of member queries in the set.
     fn num_queries(&self) -> usize;
+
+    /// The per-query verdict bitmask of a lane at its current prefix: bit
+    /// `i` is set iff query `i` would accept if the stream ended now. Bits
+    /// at and above [`num_queries`](MultiAcceptor::num_queries) are zero.
+    fn lane_verdicts(&self, lane: &Self::Lane) -> u64;
 
     /// The alphabet fingerprint each member query was compiled against, in
     /// query order ([`persist::fingerprint_alphabet`](crate::persist::fingerprint_alphabet)
@@ -88,6 +89,37 @@ pub trait MultiAcceptor {
     /// queueing, so a query compiled over the wrong alphabet is one typed
     /// error up front rather than a mid-batch worker panic.
     fn member_alphabet_fingerprints(&self) -> Vec<u64>;
+
+    /// Starts a fresh run of all member queries in their initial
+    /// configurations.
+    fn start_set(&self) -> LaneRun<'_, Self>
+    where
+        Self: Sized,
+    {
+        LaneRun::new(self)
+    }
+}
+
+/// Every multi-query run is a [`LaneRun`] over a [`MultiAcceptor`]'s lane.
+impl<A: MultiAcceptor> QuerySetRun for LaneRun<'_, A> {
+    fn num_queries(&self) -> usize {
+        self.artifact.num_queries()
+    }
+
+    fn verdicts(&self) -> u64 {
+        self.artifact.lane_verdicts(&self.lane)
+    }
+
+    fn outcomes(&self) -> Vec<StreamOutcome> {
+        let outcome = self.artifact.lane_outcome(&self.lane);
+        let verdicts = self.verdicts();
+        (0..self.num_queries())
+            .map(|i| StreamOutcome {
+                accepted: verdicts & (1 << i) != 0,
+                ..outcome
+            })
+            .collect()
+    }
 }
 
 /// Compilation of a query *set* into one steppable artifact — the

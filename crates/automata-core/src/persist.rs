@@ -517,6 +517,14 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decodes a [`Snapshot`](crate::Snapshot) step counter: `u64` on the wire,
+/// `usize` in lane state.
+pub fn decode_steps(steps: u64) -> Result<usize, PersistError> {
+    usize::try_from(steps).map_err(|_| PersistError::Malformed {
+        context: "snapshot step count overflows",
+    })
+}
+
 /// A compiled artifact that can round-trip through a versioned byte format.
 ///
 /// Implementations guarantee:

@@ -42,11 +42,12 @@ pub trait StreamRun {
     /// Consumes a slice of events in one call.
     ///
     /// Observably identical to stepping each event in order; the default
-    /// does exactly that. Compiled engines override it to hoist the run
-    /// state into registers for the whole slice, which is what the
-    /// bytes-in → verdict-out pipeline
-    /// (`nwa_xml::queries::run_streaming_reader`) feeds with buffered
-    /// event runs from the bulk scanner.
+    /// does exactly that. Compiled engines run their bulk kernel here
+    /// (through [`LaneRun`] and
+    /// [`BatchAcceptor::lane_step_slice`]), keeping the run state in
+    /// registers for the whole slice — which is what the bytes-in →
+    /// verdict-out pipeline (`nwa_xml::queries::run_streaming_reader`)
+    /// feeds with buffered event runs from the bulk scanner.
     fn step_slice(&mut self, events: &[TaggedSymbol]) {
         for &event in events {
             self.step(event);
@@ -74,10 +75,13 @@ pub trait StreamRun {
 /// An automaton that can run incrementally over a stream of
 /// [`TaggedSymbol`] events.
 ///
-/// Implementors: `Nwa` runs its deterministic transition functions directly;
-/// `Nnwa` and `JoinlessNwa` simulate the on-the-fly subset construction over
-/// (summary-set, stack) configurations; `Dfa` reads the events as letters of
-/// the tagged alphabet Σ̂ (the flat view of §3.3) with no stack at all.
+/// Implementors: the interpreted models run their own reference runs —
+/// `Nwa` steps its deterministic transition functions directly, `Nnwa` and
+/// `JoinlessNwa` simulate the on-the-fly subset construction over
+/// (summary-set, stack) configurations, and `Dfa` reads the events as
+/// letters of the tagged alphabet Σ̂ (the flat view of §3.3) with no stack
+/// at all. Every compiled artifact's run is a [`LaneRun`]: its one owned
+/// [`BatchAcceptor::Lane`] next to a borrow of the artifact.
 pub trait StreamAcceptor {
     /// The run type; borrows the automaton for the duration of the run.
     type Run<'a>: StreamRun
@@ -104,15 +108,19 @@ pub trait StreamAcceptor {
 /// The capability is factored as a *lane*: a self-contained, owned per-stream
 /// state ([`BatchAcceptor::Lane`] — for nested word automata a `u32` linear
 /// state plus a `u32` stack; nothing borrows the automaton), advanced one
-/// event at a time by [`lane_step`](BatchAcceptor::lane_step). The automaton
-/// itself stays shared and immutable (`&self` everywhere), so one compiled
-/// artifact can drive any number of lanes from any number of threads.
+/// event at a time by [`lane_step`](BatchAcceptor::lane_step) or a slice at
+/// a time by [`lane_step_slice`](BatchAcceptor::lane_step_slice). The
+/// automaton itself stays shared and immutable (`&self` everywhere), so one
+/// compiled artifact can drive any number of lanes from any number of
+/// threads. The lane is the artifact's *only* per-stream state: its
+/// [`StreamAcceptor::Run`] is a [`LaneRun`], so a single stream and a batch
+/// run the same stepping code.
 ///
 /// Laws (property-tested in `tests/service.rs`):
 ///
-/// 1. **lane ≡ run** — stepping a lane through a stream observes exactly what
-///    a [`StreamRun`] observes at every prefix (acceptance, stack height,
-///    peak memory, step count);
+/// 1. **lane ≡ reference** — stepping a lane through a stream observes
+///    exactly what the source model's interpreted [`StreamRun`] observes at
+///    every prefix (acceptance, stack height, peak memory, step count);
 /// 2. **batch ≡ sequential** — [`run_batch`](BatchAcceptor::run_batch)
 ///    returns, per lane, the [`StreamOutcome`] of running that lane's stream
 ///    alone.
@@ -129,11 +137,21 @@ pub trait BatchAcceptor: StreamAcceptor {
     /// branch-light — it is the body of the batched inner loop.
     fn lane_step(&self, lane: &mut Self::Lane, event: TaggedSymbol);
 
-    /// Would stopping this lane's stream now accept the prefix read so far.
-    fn lane_accepting(&self, lane: &Self::Lane) -> bool;
+    /// Advances one lane through a slice of events, observably identical to
+    /// [`lane_step`](BatchAcceptor::lane_step) on each event in order (the
+    /// default does exactly that). Compiled engines override it with their
+    /// bulk kernel, hoisting the lane into registers for the whole slice.
+    fn lane_step_slice(&self, lane: &mut Self::Lane, events: &[TaggedSymbol]) {
+        for &event in events {
+            self.lane_step(lane, event);
+        }
+    }
 
-    /// The lane's completed-run observables: acceptance, events consumed,
-    /// peak stack height.
+    /// The number of stack frames currently live in the lane.
+    fn lane_height(&self, lane: &Self::Lane) -> usize;
+
+    /// The lane's run observables at the current prefix: acceptance,
+    /// events consumed, peak stack height.
     fn lane_outcome(&self, lane: &Self::Lane) -> StreamOutcome;
 
     /// Advances stream `i` through lane `i` for every `i`, interleaved in
@@ -155,11 +173,73 @@ pub trait BatchAcceptor: StreamAcceptor {
             }
         }
         for (lane, stream) in lanes.iter_mut().zip(streams) {
-            for &event in &stream[common..] {
-                self.lane_step(lane, event);
-            }
+            self.lane_step_slice(lane, &stream[common..]);
         }
         lanes.iter().map(|lane| self.lane_outcome(lane)).collect()
+    }
+}
+
+/// The [`StreamRun`] of every compiled artifact: one owned
+/// [`BatchAcceptor::Lane`] next to a borrow of the artifact that steps it.
+///
+/// Every method delegates to the artifact's `lane_*` methods, so a run and
+/// a lane are one state stepped by one kernel —
+/// [`step_slice`](StreamRun::step_slice) is
+/// [`lane_step_slice`](BatchAcceptor::lane_step_slice) — and a run can hand
+/// its lane to [`Suspend`](crate::Suspend) or to a worker thread at any
+/// prefix ([`lane`](LaneRun::lane), [`into_lane`](LaneRun::into_lane)).
+#[derive(Debug)]
+pub struct LaneRun<'a, A: BatchAcceptor> {
+    pub(crate) artifact: &'a A,
+    pub(crate) lane: A::Lane,
+}
+
+impl<'a, A: BatchAcceptor> LaneRun<'a, A> {
+    /// A run from the artifact's initial configuration.
+    pub fn new(artifact: &'a A) -> Self {
+        LaneRun::from_lane(artifact, artifact.lane_start())
+    }
+
+    /// A run continuing from `lane` (e.g. one resumed from a
+    /// [`Snapshot`](crate::Snapshot)).
+    pub fn from_lane(artifact: &'a A, lane: A::Lane) -> Self {
+        LaneRun { artifact, lane }
+    }
+
+    /// The run's state.
+    pub fn lane(&self) -> &A::Lane {
+        &self.lane
+    }
+
+    /// Ends the borrow of the artifact, keeping the run's state.
+    pub fn into_lane(self) -> A::Lane {
+        self.lane
+    }
+}
+
+impl<A: BatchAcceptor> StreamRun for LaneRun<'_, A> {
+    fn step(&mut self, event: TaggedSymbol) {
+        self.artifact.lane_step(&mut self.lane, event);
+    }
+
+    fn step_slice(&mut self, events: &[TaggedSymbol]) {
+        self.artifact.lane_step_slice(&mut self.lane, events);
+    }
+
+    fn is_accepting(&self) -> bool {
+        self.artifact.lane_outcome(&self.lane).accepted
+    }
+
+    fn stack_height(&self) -> usize {
+        self.artifact.lane_height(&self.lane)
+    }
+
+    fn peak_memory(&self) -> usize {
+        self.artifact.lane_outcome(&self.lane).peak_memory
+    }
+
+    fn steps(&self) -> usize {
+        self.artifact.lane_outcome(&self.lane).events
     }
 }
 

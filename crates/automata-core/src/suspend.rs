@@ -4,8 +4,9 @@
 //! word query over a stream needs memory proportional to the *nesting
 //! depth*, not the input length — a live run is nothing but a state id plus
 //! a depth-bounded stack of `u32`s. [`Suspend`] makes that state a value: a
-//! [`StreamRun`](crate::StreamRun)-style run or a
-//! [`BatchAcceptor`] lane exports an owned
+//! [`BatchAcceptor`] lane — which is also the state of the artifact's
+//! [`LaneRun`](crate::LaneRun), reachable through
+//! [`LaneRun::lane`](crate::LaneRun::lane) — exports an owned
 //! [`Snapshot`] at any prefix, and any artifact with the same
 //! [`fingerprint`](crate::Persist::fingerprint) resumes it at exactly that
 //! prefix — including in another process, via [`Snapshot::to_bytes`] and an
@@ -27,7 +28,7 @@ use crate::stream::BatchAcceptor;
 /// symbols for the subset engine, …); a snapshot is therefore only
 /// meaningful to artifacts whose [`fingerprint`](Snapshot::fingerprint)
 /// matches, which is exactly what
-/// [`Suspend::resume_lane`] / [`Suspend::resume_run`] enforce.
+/// [`Suspend::resume_lane`] enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Fingerprint of the artifact that took the snapshot
@@ -102,14 +103,13 @@ impl Snapshot {
 ///
 /// Laws (property-tested in `tests/persist.rs`):
 ///
-/// 1. **resume ≡ continue** — suspending at any prefix and resuming (run or
-///    lane, on the same artifact or on `load(save(artifact))`) observes the
+/// 1. **resume ≡ continue** — suspending a lane at any prefix and resuming
+///    it (on the same artifact or on `load(save(artifact))`) observes the
 ///    same acceptance, stack height, peak and step count as the
-///    uninterrupted run at every subsequent prefix, pending edges included;
-/// 2. **run ↔ lane** — [`suspend_run`](Suspend::suspend_run) and
-///    [`suspend_lane`](Suspend::suspend_lane) produce interchangeable
-///    snapshots: either resumes as either;
-/// 3. **typed rejection** — resuming a snapshot from a different artifact
+///    uninterrupted lane at every subsequent prefix, pending edges
+///    included — however the prefix was fed (event by event or in
+///    [`lane_step_slice`](BatchAcceptor::lane_step_slice) slices);
+/// 2. **typed rejection** — resuming a snapshot from a different artifact
 ///    fails with [`PersistError::FingerprintMismatch`], and a structurally
 ///    impossible snapshot fails with a typed error, never a panic or an
 ///    out-of-bounds table access.
@@ -124,14 +124,6 @@ pub trait Suspend: BatchAcceptor + crate::Persist {
     /// Reconstructs a lane from a snapshot, validating the artifact
     /// fingerprint and the structural integrity of the state.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<Self::Lane, PersistError>;
-
-    /// Captures a borrowing run's state as an owned snapshot
-    /// (interchangeable with [`suspend_lane`](Suspend::suspend_lane)).
-    fn suspend_run(&self, run: &Self::Run<'_>) -> Snapshot;
-
-    /// Reconstructs a borrowing run from a snapshot, validating the
-    /// artifact fingerprint and the structural integrity of the state.
-    fn resume_run<'a>(&'a self, snapshot: &Snapshot) -> Result<Self::Run<'a>, PersistError>;
 }
 
 #[cfg(test)]

@@ -43,7 +43,9 @@
 //! a parked job is its `automata_core::Snapshot` ([`ParkedDoc`]), opened by
 //! [`DecisionService::open_document`], advanced across the worker pool by
 //! [`DecisionService::advance`] and closed by [`DecisionService::finish`].
-//! Every resubmission re-validates the snapshot against the artifact
+//! A burst resumes the artifact's lane and feeds it the whole burst through
+//! `BatchAcceptor::lane_step_slice`, the engine's bulk kernel. Every
+//! resubmission re-validates the snapshot against the artifact
 //! fingerprint, so state parked by one artifact can only ever resume on
 //! that artifact (or a byte-identical reload of it), with a typed
 //! [`ParkError`] otherwise.
@@ -681,7 +683,7 @@ impl<A: BatchAcceptor + Send + Sync + 'static> DecisionService<A> {
     }
 }
 
-impl<A: BatchAcceptor + MultiAcceptor + Send + Sync + 'static> DecisionService<A> {
+impl<A: MultiAcceptor + Send + Sync + 'static> DecisionService<A> {
     /// Submits one stream for decision against **every member query** of a
     /// multi-query artifact (e.g. an `nwa::QuerySet`) and returns a handle
     /// for all M verdicts: the serving-side spelling of one-pass
@@ -786,9 +788,7 @@ impl<A: Suspend + Send + Sync + 'static> DecisionService<A> {
             .map_err(ParkError::Artifact)?;
         Ok(self.run_task(events.len(), move |artifact: &A| {
             let mut lane = lane;
-            for event in events {
-                artifact.lane_step(&mut lane, event);
-            }
+            artifact.lane_step_slice(&mut lane, &events);
             ParkedDoc {
                 snapshot: artifact.suspend_lane(&lane),
             }
@@ -1163,29 +1163,10 @@ mod tests {
 
     struct BombLane(usize);
 
-    impl automata_core::StreamRun for BombLane {
-        fn step(&mut self, event: TaggedSymbol) {
-            assert!(!matches!(event, TaggedSymbol::Return(_)), "bomb tripped");
-            self.0 += 1;
-        }
-        fn is_accepting(&self) -> bool {
-            true
-        }
-        fn stack_height(&self) -> usize {
-            0
-        }
-        fn peak_memory(&self) -> usize {
-            0
-        }
-        fn steps(&self) -> usize {
-            self.0
-        }
-    }
-
     impl automata_core::StreamAcceptor for Bomb {
-        type Run<'a> = BombLane;
-        fn start(&self) -> BombLane {
-            BombLane(0)
+        type Run<'a> = automata_core::LaneRun<'a, Bomb>;
+        fn start(&self) -> automata_core::LaneRun<'_, Bomb> {
+            automata_core::LaneRun::new(self)
         }
     }
 
@@ -1195,10 +1176,11 @@ mod tests {
             BombLane(0)
         }
         fn lane_step(&self, lane: &mut BombLane, event: TaggedSymbol) {
-            automata_core::StreamRun::step(lane, event);
+            assert!(!matches!(event, TaggedSymbol::Return(_)), "bomb tripped");
+            lane.0 += 1;
         }
-        fn lane_accepting(&self, _: &BombLane) -> bool {
-            true
+        fn lane_height(&self, _: &BombLane) -> usize {
+            0
         }
         fn lane_outcome(&self, lane: &BombLane) -> StreamOutcome {
             StreamOutcome {
@@ -1209,26 +1191,13 @@ mod tests {
         }
     }
 
-    /// `BombLane` doubles as a one-query set run, so `Bomb` also serves
-    /// `submit_multi` — and panics there on `Return` events too.
-    impl QuerySetRun for BombLane {
-        fn num_queries(&self) -> usize {
-            1
-        }
-        fn verdicts(&self) -> u64 {
-            1
-        }
-        fn outcomes(&self) -> Vec<StreamOutcome> {
-            vec![Bomb.lane_outcome(self)]
-        }
-    }
-
+    /// `Bomb` is also a one-query set, so it serves `submit_multi` — and
+    /// panics there on `Return` events too.
     impl MultiAcceptor for Bomb {
-        type SetRun<'a> = BombLane;
-        fn start_set(&self) -> BombLane {
-            BombLane(0)
-        }
         fn num_queries(&self) -> usize {
+            1
+        }
+        fn lane_verdicts(&self, _: &BombLane) -> u64 {
             1
         }
         fn member_alphabet_fingerprints(&self) -> Vec<u64> {

@@ -75,5 +75,5 @@ pub use automaton::{Nwa, StreamingRun};
 pub use builder::{NnwaBuilder, NwaBuilder};
 pub use compile::{CompiledNwa, CompiledSummary};
 pub use joinless::{JoinlessNwa, JoinlessStreamingRun};
-pub use multi::{QuerySet, QuerySetBackend, QuerySetLane, QuerySetRunState};
+pub use multi::{QuerySet, QuerySetBackend, QuerySetLane};
 pub use nondet::{Nnwa, NnwaStreamingRun};

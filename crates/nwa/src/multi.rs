@@ -42,19 +42,21 @@
 //! `QuerySet` can sit behind every existing single-verdict layer
 //! (`DecisionService`, `query::run_batch`) while
 //! [`DecisionService::submit_multi`](../nwa_service/struct.DecisionService.html)
-//! and `query::run_multi` read the per-query verdicts.
+//! and `query::run_multi` read the per-query verdicts. Both views keep
+//! their state in one [`QuerySetLane`], so every entry point runs the same
+//! decode-once kernel.
 
 use crate::automaton::Nwa;
 use crate::boolean;
-use crate::compile::{CompiledNwa, CompiledNwaLane, CompiledNwaRun, FrameMember, FramePlan};
+use crate::compile::{CompiledNwa, CompiledNwaLane, FrameMember, FramePlan};
 use automata_core::multi::MAX_QUERIES;
 use automata_core::persist::{
     checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
     Writer,
 };
 use automata_core::{
-    BatchAcceptor, Compile, MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun,
-    StreamAcceptor, StreamOutcome, StreamRun,
+    BatchAcceptor, Compile, LaneRun, MultiAcceptor, MultiCompile, Persist, PersistError,
+    StreamAcceptor, StreamOutcome,
 };
 use nested_words::TaggedSymbol;
 
@@ -238,148 +240,158 @@ impl QuerySet {
 }
 
 // --------------------------------------------------------------------------
-// Runs
+// Lanes: the one per-stream state of both backends
 // --------------------------------------------------------------------------
 
-/// The lockstep backend's run: the event-stream half (height, peak, steps
-/// and the decoded slice) once for the set, and per member only a linear
-/// state and a frame array.
+/// The per-backend state of a [`QuerySetLane`].
 #[derive(Debug)]
-struct LockstepRun<'a> {
-    engines: &'a [CompiledNwa],
-    plan: FramePlan,
-    members: Vec<FrameMember>,
+enum LaneInner {
+    Product(CompiledNwaLane),
+    /// The event-stream half (height, peak, steps and the decoded slice)
+    /// once for the set, and per member only a linear state and a frame
+    /// array.
+    Lockstep {
+        plan: FramePlan,
+        members: Vec<FrameMember>,
+    },
 }
 
-/// The per-backend run state of a [`QuerySetRunState`].
+/// One in-progress stream of a [`QuerySet`]: all M member queries advanced
+/// per event. Owned and `Send`, it is both the `BatchAcceptor` lane and,
+/// inside a `LaneRun`, the state of the multi-verdict
+/// ([`MultiAcceptor::start_set`]) and conjunction
+/// ([`StreamAcceptor::start`]) runs.
 #[derive(Debug)]
-enum RunInner<'a> {
-    Product(CompiledNwaRun<'a>),
-    Lockstep(LockstepRun<'a>),
+pub struct QuerySetLane {
+    inner: LaneInner,
 }
 
-/// One in-progress run of a [`QuerySet`] over a stream: all M member
-/// queries advanced per event, per-query verdicts readable at every prefix
-/// through the `QuerySetRun` trait.
-#[derive(Debug)]
-pub struct QuerySetRunState<'a> {
-    set: &'a QuerySet,
-    inner: RunInner<'a>,
+/// A lane handed to a set whose backend it was not started on.
+#[cold]
+fn backend_mismatch() -> ! {
+    panic!("lane backend does not match its query set")
 }
 
-impl StreamRun for QuerySetRunState<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        match &mut self.inner {
-            RunInner::Product(run) => run.step(event),
-            RunInner::Lockstep(run) => {
-                let op = run.plan.decode_one(event);
-                CompiledNwa::step_members(run.engines, &mut run.members, &run.plan, op);
-            }
-        }
-    }
+impl StreamAcceptor for QuerySet {
+    type Run<'a> = LaneRun<'a, Self>;
 
-    fn step_slice(&mut self, events: &[TaggedSymbol]) {
-        match &mut self.inner {
-            RunInner::Product(run) => run.step_slice(events),
-            // Decode once, replay per member: the slice is decoded into
-            // the set's plan a single time, then every member replays it
-            // through the frame kernel, four members interleaved.
-            RunInner::Lockstep(run) => {
-                run.plan.decode(events);
-                CompiledNwa::replay_members(run.engines, &mut run.members, &run.plan);
-            }
-        }
-    }
-
-    /// The conjunction view: `true` iff **every** member query accepts the
-    /// prefix read so far (the product automaton folds acceptance with ∧,
-    /// so both backends answer identically).
-    fn is_accepting(&self) -> bool {
-        match &self.inner {
-            RunInner::Product(run) => run.is_accepting(),
-            RunInner::Lockstep(run) => run
-                .engines
-                .iter()
-                .zip(&run.members)
-                .all(|(engine, member)| engine.member_accepting(member)),
-        }
-    }
-
-    fn stack_height(&self) -> usize {
-        match &self.inner {
-            RunInner::Product(run) => run.stack_height(),
-            RunInner::Lockstep(run) => run.plan.height(),
-        }
-    }
-
-    fn peak_memory(&self) -> usize {
-        match &self.inner {
-            RunInner::Product(run) => run.peak_memory(),
-            RunInner::Lockstep(run) => run.plan.peak(),
-        }
-    }
-
-    fn steps(&self) -> usize {
-        match &self.inner {
-            RunInner::Product(run) => run.steps(),
-            RunInner::Lockstep(run) => run.plan.steps(),
-        }
+    /// Starts the conjunction view: the run accepts iff every member
+    /// accepts (the intersection language). The same run doubles as the
+    /// multi-verdict [`MultiAcceptor::start_set`] run.
+    fn start(&self) -> LaneRun<'_, Self> {
+        LaneRun::new(self)
     }
 }
 
-impl QuerySetRun for QuerySetRunState<'_> {
-    fn num_queries(&self) -> usize {
-        self.set.num_queries
+impl BatchAcceptor for QuerySet {
+    type Lane = QuerySetLane;
+
+    fn lane_start(&self) -> QuerySetLane {
+        let inner = match &self.backend {
+            Backend::Product { engine, .. } => LaneInner::Product(engine.lane_start()),
+            Backend::Lockstep { engines } => LaneInner::Lockstep {
+                plan: FramePlan::new(self.sigma),
+                members: engines.iter().map(CompiledNwa::frame_member).collect(),
+            },
+        };
+        QuerySetLane { inner }
     }
 
-    fn verdicts(&self) -> u64 {
-        match &self.inner {
-            RunInner::Product(run) => {
-                let Backend::Product { masks, .. } = &self.set.backend else {
-                    unreachable!("product run on a lockstep set");
-                };
-                masks[(run.state / run.tables.stride) as usize]
+    fn lane_step(&self, lane: &mut QuerySetLane, event: TaggedSymbol) {
+        match (&self.backend, &mut lane.inner) {
+            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
+                engine.lane_step(lane, event);
             }
-            RunInner::Lockstep(run) => run.engines.iter().zip(&run.members).enumerate().fold(
-                0u64,
-                |acc, (i, (engine, member))| {
-                    acc | (u64::from(engine.member_accepting(member)) << i)
-                },
-            ),
+            (Backend::Lockstep { engines }, LaneInner::Lockstep { plan, members }) => {
+                let op = plan.decode_one(event);
+                CompiledNwa::step_members(engines, members, plan, op);
+            }
+            _ => backend_mismatch(),
         }
     }
 
-    fn outcomes(&self) -> Vec<StreamOutcome> {
-        let verdicts = self.verdicts();
-        let events = self.steps();
-        let peak_memory = self.peak_memory();
-        (0..self.set.num_queries)
-            .map(|i| StreamOutcome {
-                accepted: verdicts & (1 << i) != 0,
-                events,
-                peak_memory,
+    /// Decode once, replay per member: on the lockstep backend the slice is
+    /// decoded into the lane's plan a single time, then every member
+    /// replays it through the frame kernel, four members interleaved.
+    fn lane_step_slice(&self, lane: &mut QuerySetLane, events: &[TaggedSymbol]) {
+        match (&self.backend, &mut lane.inner) {
+            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
+                engine.lane_step_slice(lane, events);
+            }
+            (Backend::Lockstep { engines }, LaneInner::Lockstep { plan, members }) => {
+                plan.decode(events);
+                CompiledNwa::replay_members(engines, members, plan);
+            }
+            _ => backend_mismatch(),
+        }
+    }
+
+    fn lane_height(&self, lane: &QuerySetLane) -> usize {
+        match (&self.backend, &lane.inner) {
+            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => engine.lane_height(lane),
+            (Backend::Lockstep { .. }, LaneInner::Lockstep { plan, .. }) => plan.height(),
+            _ => backend_mismatch(),
+        }
+    }
+
+    /// The conjunction view: accepted iff **every** member query accepts
+    /// the prefix read so far (the product automaton folds acceptance with
+    /// ∧, so both backends answer identically).
+    fn lane_outcome(&self, lane: &QuerySetLane) -> StreamOutcome {
+        match (&self.backend, &lane.inner) {
+            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
+                engine.lane_outcome(lane)
+            }
+            (Backend::Lockstep { engines }, LaneInner::Lockstep { plan, members }) => {
+                StreamOutcome {
+                    accepted: engines
+                        .iter()
+                        .zip(members)
+                        .all(|(engine, member)| engine.member_accepting(member)),
+                    events: plan.steps(),
+                    peak_memory: plan.peak(),
+                }
+            }
+            _ => backend_mismatch(),
+        }
+    }
+
+    /// Lanes drain sequentially, one stream at a time, each through the
+    /// slice kernel: the fused NWA step is issue-width-bound and
+    /// interleaved lanes spill (the measurement behind `CompiledNwa`'s
+    /// identical override), and a lockstep set already advances M engines
+    /// per event.
+    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
+        streams
+            .iter()
+            .map(|stream| {
+                let mut lane = self.lane_start();
+                self.lane_step_slice(&mut lane, stream);
+                self.lane_outcome(&lane)
             })
             .collect()
     }
 }
 
 impl MultiAcceptor for QuerySet {
-    type SetRun<'a> = QuerySetRunState<'a>;
-
-    fn start_set(&self) -> QuerySetRunState<'_> {
-        let inner = match &self.backend {
-            Backend::Product { engine, .. } => RunInner::Product(engine.start()),
-            Backend::Lockstep { engines } => RunInner::Lockstep(LockstepRun {
-                engines,
-                plan: FramePlan::new(self.sigma),
-                members: engines.iter().map(CompiledNwa::frame_member).collect(),
-            }),
-        };
-        QuerySetRunState { set: self, inner }
-    }
-
     fn num_queries(&self) -> usize {
         self.num_queries
+    }
+
+    fn lane_verdicts(&self, lane: &QuerySetLane) -> u64 {
+        match (&self.backend, &lane.inner) {
+            (Backend::Product { engine, masks }, LaneInner::Product(lane)) => {
+                masks[(lane.state / engine.stride) as usize]
+            }
+            (Backend::Lockstep { engines }, LaneInner::Lockstep { members, .. }) => engines
+                .iter()
+                .zip(members)
+                .enumerate()
+                .fold(0u64, |acc, (i, (engine, member))| {
+                    acc | (u64::from(engine.member_accepting(member)) << i)
+                }),
+            _ => backend_mismatch(),
+        }
     }
 
     fn member_alphabet_fingerprints(&self) -> Vec<u64> {
@@ -395,113 +407,6 @@ impl MultiCompile for Nwa {
 
     fn compile_set(queries: &[Nwa]) -> QuerySet {
         QuerySet::compile(queries)
-    }
-}
-
-// --------------------------------------------------------------------------
-// The single-verdict (conjunction) view
-// --------------------------------------------------------------------------
-
-impl StreamAcceptor for QuerySet {
-    type Run<'a> = QuerySetRunState<'a>;
-
-    /// Starts the conjunction view: the run accepts iff every member
-    /// accepts (the intersection language). The same run doubles as the
-    /// multi-verdict [`MultiAcceptor::start_set`] run.
-    fn start(&self) -> QuerySetRunState<'_> {
-        self.start_set()
-    }
-}
-
-/// The per-backend lane of a [`QuerySet`] batch: owned, `Send`, borrows
-/// nothing.
-#[derive(Debug)]
-enum LaneInner {
-    Product(CompiledNwaLane),
-    Lockstep(Vec<CompiledNwaLane>),
-}
-
-/// One owned per-stream lane of a [`QuerySet`] under `BatchAcceptor`: the
-/// conjunction view's batch state (every member advanced per event).
-#[derive(Debug)]
-pub struct QuerySetLane {
-    inner: LaneInner,
-}
-
-impl BatchAcceptor for QuerySet {
-    type Lane = QuerySetLane;
-
-    fn lane_start(&self) -> QuerySetLane {
-        let inner = match &self.backend {
-            Backend::Product { engine, .. } => LaneInner::Product(engine.lane_start()),
-            Backend::Lockstep { engines } => {
-                LaneInner::Lockstep(engines.iter().map(BatchAcceptor::lane_start).collect())
-            }
-        };
-        QuerySetLane { inner }
-    }
-
-    fn lane_step(&self, lane: &mut QuerySetLane, event: TaggedSymbol) {
-        match (&self.backend, &mut lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_step(lane, event);
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => {
-                for (engine, lane) in engines.iter().zip(lanes) {
-                    engine.lane_step(lane, event);
-                }
-            }
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    fn lane_accepting(&self, lane: &QuerySetLane) -> bool {
-        match (&self.backend, &lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_accepting(lane)
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => engines
-                .iter()
-                .zip(lanes)
-                .all(|(engine, lane)| engine.lane_accepting(lane)),
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    fn lane_outcome(&self, lane: &QuerySetLane) -> StreamOutcome {
-        match (&self.backend, &lane.inner) {
-            (Backend::Product { engine, .. }, LaneInner::Product(lane)) => {
-                engine.lane_outcome(lane)
-            }
-            (Backend::Lockstep { engines }, LaneInner::Lockstep(lanes)) => {
-                let first = engines[0].lane_outcome(&lanes[0]);
-                StreamOutcome {
-                    accepted: engines
-                        .iter()
-                        .zip(lanes)
-                        .all(|(engine, lane)| engine.lane_accepting(lane)),
-                    ..first
-                }
-            }
-            _ => unreachable!("lane backend does not match its query set"),
-        }
-    }
-
-    /// Lanes drain sequentially, one stream at a time: the fused NWA step
-    /// is issue-width-bound and interleaved lanes spill (the PR6
-    /// measurement behind `CompiledNwa`'s identical override), and a
-    /// lockstep set already advances M engines per event.
-    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
-        streams
-            .iter()
-            .map(|stream| {
-                let mut lane = self.lane_start();
-                for &event in *stream {
-                    self.lane_step(&mut lane, event);
-                }
-                self.lane_outcome(&lane)
-            })
-            .collect()
     }
 }
 
@@ -636,6 +541,7 @@ impl Persist for QuerySet {
 mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
+    use automata_core::{QuerySetRun, StreamRun};
     use nested_words::Symbol;
 
     /// Deterministic NWA over a σ-symbol alphabet accepting streams of even

@@ -24,15 +24,15 @@
 //! from the wrong summary.
 
 use crate::compile::{
-    summary_key, CompiledNwa, CompiledNwaLane, CompiledNwaRun, CompiledSummary,
-    CompiledSummaryLane, CompiledSummaryRun, InternedSummary, SummaryCache,
+    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
+    InternedSummary, SummaryCache,
 };
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, fnv1a_words, kind,
-    Reader, Writer,
+    checksum_bytes, decode_steps, expect_alphabet, fingerprint_alphabet, fingerprint_payload,
+    fnv1a_words, kind, Reader, Writer,
 };
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
 use nested_words::Symbol;
@@ -83,41 +83,6 @@ impl CompiledNwa {
         let lin = u64::from(self.lin());
         let v = u64::from(v);
         v != 0 && v % lin == 0 && v / lin <= self.num_states as u64
-    }
-
-    /// Shared validation for [`Suspend::resume_run`] /
-    /// [`Suspend::resume_lane`]: the snapshot must come from this artifact
-    /// and describe a state the tables can actually index.
-    fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        if s.fingerprint != self.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
-                found: s.fingerprint,
-            });
-        }
-        if !self.is_row(s.state) {
-            return Err(PersistError::Malformed {
-                context: "snapshot state is not a row offset of this artifact",
-            });
-        }
-        for &frame in &s.stack {
-            if !self.is_ret_base(frame) {
-                return Err(PersistError::Malformed {
-                    context: "snapshot stack frame is not a return-block base",
-                });
-            }
-        }
-        if (s.peak as usize) < s.stack.len() {
-            return Err(PersistError::Malformed {
-                context: "snapshot peak below its stack height",
-            });
-        }
-        if s.check != 0 {
-            return Err(PersistError::Malformed {
-                context: "dense-engine snapshots carry no integrity word",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -275,8 +240,37 @@ impl Suspend for CompiledNwa {
         }
     }
 
+    /// The snapshot must come from this artifact and describe a state the
+    /// tables can actually index.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<CompiledNwaLane, PersistError> {
-        self.check_snapshot(snapshot)?;
+        if snapshot.fingerprint != self.fingerprint {
+            return Err(PersistError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: snapshot.fingerprint,
+            });
+        }
+        if !self.is_row(snapshot.state) {
+            return Err(PersistError::Malformed {
+                context: "snapshot state is not a row offset of this artifact",
+            });
+        }
+        for &frame in &snapshot.stack {
+            if !self.is_ret_base(frame) {
+                return Err(PersistError::Malformed {
+                    context: "snapshot stack frame is not a return-block base",
+                });
+            }
+        }
+        if (snapshot.peak as usize) < snapshot.stack.len() {
+            return Err(PersistError::Malformed {
+                context: "snapshot peak below its stack height",
+            });
+        }
+        if snapshot.check != 0 {
+            return Err(PersistError::Malformed {
+                context: "dense-engine snapshots carry no integrity word",
+            });
+        }
         let height = snapshot.stack.len();
         let mut spilled = Vec::with_capacity((height + 1).max(64));
         spilled.push(self.pending_row);
@@ -300,35 +294,6 @@ impl Suspend for CompiledNwa {
             spilled,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledNwaRun<'_>) -> Snapshot {
-        Snapshot {
-            fingerprint: self.fingerprint,
-            state: run.state,
-            stack: run.stack.clone(),
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_run<'a>(&'a self, snapshot: &Snapshot) -> Result<CompiledNwaRun<'a>, PersistError> {
-        self.check_snapshot(snapshot)?;
-        Ok(CompiledNwaRun {
-            tables: self,
-            state: snapshot.state,
-            stack: snapshot.stack.clone(),
-            max_stack: snapshot.peak as usize,
-            steps: decode_steps(snapshot.steps)?,
-        })
-    }
-}
-
-/// Step counters are `u64` on the wire and `usize` in run state.
-fn decode_steps(steps: u64) -> Result<usize, PersistError> {
-    usize::try_from(steps).map_err(|_| PersistError::Malformed {
-        context: "snapshot step count overflows",
-    })
 }
 
 // --------------------------------------------------------------------------
@@ -726,11 +691,6 @@ fn get_map4(r: &mut Reader<'_>, count: usize, sigma: usize) -> Result<Map4, Pers
     Ok(map)
 }
 
-/// A validated subset-engine snapshot, decoded against one artifact's
-/// intern table: `(current summary id, stack frames as (outer summary,
-/// call symbol), peak, steps)`.
-type DecodedSnapshot = (u32, Vec<(u32, Symbol)>, usize, usize);
-
 impl<A: PersistableSemantics> CompiledSummary<A> {
     fn read_cache(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
         self.cache.read().expect("summary cache lock poisoned")
@@ -753,52 +713,6 @@ impl<A: PersistableSemantics> CompiledSummary<A> {
             words.extend(key);
         }
         fnv1a_words(words)
-    }
-
-    /// Validates a snapshot against this artifact's intern table and
-    /// decodes its stack back into `(summary id, call symbol)` frames.
-    fn decode_snapshot(&self, snapshot: &Snapshot) -> Result<DecodedSnapshot, PersistError> {
-        let fingerprint = self.fingerprint();
-        if snapshot.fingerprint != fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: fingerprint,
-                found: snapshot.fingerprint,
-            });
-        }
-        if !snapshot.stack.len().is_multiple_of(2) {
-            return Err(PersistError::Malformed {
-                context: "subset-engine snapshot stack must hold (summary, symbol) pairs",
-            });
-        }
-        let cache = self.read_cache();
-        let count = cache.summaries.len();
-        let current = decode_id(snapshot.state, count).map_err(|_| PersistError::Malformed {
-            context: "snapshot references a summary this artifact has not interned",
-        })?;
-        let sigma = self.automaton.sigma();
-        let mut stack = Vec::with_capacity(snapshot.stack.len() / 2);
-        for frame in snapshot.stack.chunks_exact(2) {
-            let outer = decode_id(frame[0], count).map_err(|_| PersistError::Malformed {
-                context: "snapshot references a summary this artifact has not interned",
-            })?;
-            stack.push((outer, decode_symbol(frame[1], sigma)?));
-        }
-        if (snapshot.peak as usize) < stack.len() {
-            return Err(PersistError::Malformed {
-                context: "snapshot peak below its stack height",
-            });
-        }
-        if Self::snapshot_check(&cache, current, stack.iter()) != snapshot.check {
-            return Err(PersistError::Malformed {
-                context: "snapshot summary ids do not match this artifact's intern order",
-            });
-        }
-        Ok((
-            current,
-            stack,
-            snapshot.peak as usize,
-            decode_steps(snapshot.steps)?,
-        ))
     }
 }
 
@@ -925,44 +839,49 @@ impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
         }
     }
 
+    /// Validates the snapshot against this artifact's intern table and
+    /// decodes its stack back into `(summary id, call symbol)` frames.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<CompiledSummaryLane, PersistError> {
-        let (current, stack, max_stack, steps) = self.decode_snapshot(snapshot)?;
+        let fingerprint = self.fingerprint();
+        if snapshot.fingerprint != fingerprint {
+            return Err(PersistError::FingerprintMismatch {
+                expected: fingerprint,
+                found: snapshot.fingerprint,
+            });
+        }
+        if !snapshot.stack.len().is_multiple_of(2) {
+            return Err(PersistError::Malformed {
+                context: "subset-engine snapshot stack must hold (summary, symbol) pairs",
+            });
+        }
+        let cache = self.read_cache();
+        let count = cache.summaries.len();
+        let current = decode_id(snapshot.state, count).map_err(|_| PersistError::Malformed {
+            context: "snapshot references a summary this artifact has not interned",
+        })?;
+        let sigma = self.automaton.sigma();
+        let mut stack = Vec::with_capacity(snapshot.stack.len() / 2);
+        for frame in snapshot.stack.chunks_exact(2) {
+            let outer = decode_id(frame[0], count).map_err(|_| PersistError::Malformed {
+                context: "snapshot references a summary this artifact has not interned",
+            })?;
+            stack.push((outer, decode_symbol(frame[1], sigma)?));
+        }
+        if (snapshot.peak as usize) < stack.len() {
+            return Err(PersistError::Malformed {
+                context: "snapshot peak below its stack height",
+            });
+        }
+        if Self::snapshot_check(&cache, current, stack.iter()) != snapshot.check {
+            return Err(PersistError::Malformed {
+                context: "snapshot summary ids do not match this artifact's intern order",
+            });
+        }
         Ok(CompiledSummaryLane {
             current,
             stack,
-            max_stack,
-            steps,
-        })
-    }
-
-    fn suspend_run(&self, run: &CompiledSummaryRun<'_, A>) -> Snapshot {
-        let cache = self.read_cache();
-        let mut stack = Vec::with_capacity(run.stack.len() * 2);
-        for &(outer, sym) in &run.stack {
-            stack.push(outer);
-            stack.push(u32::from(sym.0));
-        }
-        Snapshot {
-            fingerprint: self.fingerprint(),
-            state: run.current,
-            stack,
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: Self::snapshot_check(&cache, run.current, run.stack.iter()),
-        }
-    }
-
-    fn resume_run<'a>(
-        &'a self,
-        snapshot: &Snapshot,
-    ) -> Result<CompiledSummaryRun<'a, A>, PersistError> {
-        let (current, stack, max_stack, steps) = self.decode_snapshot(snapshot)?;
-        Ok(CompiledSummaryRun {
-            engine: self,
-            current,
-            stack,
-            max_stack,
-            steps,
+            max_stack: snapshot.peak as usize,
+            steps: decode_steps(snapshot.steps)?,
         })
     }
 }
@@ -971,7 +890,7 @@ impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
 mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
-    use automata_core::{BatchAcceptor, Compile, StreamAcceptor, StreamRun};
+    use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamRun};
     use nested_words::TaggedSymbol;
 
     fn even_calls_nwa() -> crate::Nwa {
@@ -1019,7 +938,7 @@ mod tests {
         );
 
         // A run resumed from the lane snapshot continues identically.
-        let mut run = compiled.resume_run(&snapshot).unwrap();
+        let mut run = LaneRun::from_lane(&compiled, compiled.resume_lane(&snapshot).unwrap());
         let mut full = compiled.start();
         for &e in &events {
             full.step(e);

@@ -28,12 +28,12 @@
 
 use crate::stepwise::DetStepwiseTA;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
-    Writer,
+    checksum_bytes, decode_steps, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind,
+    Reader, Writer,
 };
 use automata_core::{
-    BatchAcceptor, Compile, Persist, PersistError, Snapshot, StreamAcceptor, StreamOutcome,
-    StreamRun, Suspend,
+    BatchAcceptor, Compile, LaneRun, Persist, PersistError, Snapshot, StreamAcceptor,
+    StreamOutcome, Suspend,
 };
 use nested_words::TaggedSymbol;
 
@@ -194,62 +194,6 @@ impl CompiledStepwiseTA {
         self.write_payload(&mut w);
         fingerprint_payload(kind::COMPILED_STEPWISE_TA, checksum_bytes(w.payload()))
     }
-
-    #[inline]
-    fn step_value(&self, current: &mut u32, stack: &mut Vec<u32>, event: TaggedSymbol) -> bool {
-        // Returns whether the event pushed (for peak tracking).
-        match event {
-            TaggedSymbol::Call(a) => {
-                stack.push(*current);
-                *current = if (a.index() as u32) < self.sigma {
-                    self.init[a.index()]
-                } else {
-                    self.dead()
-                };
-                true
-            }
-            TaggedSymbol::Internal(_) => {
-                *current = self.dead();
-                false
-            }
-            TaggedSymbol::Return(_) => {
-                *current = match stack.pop() {
-                    Some(ctx) => self.combine_ext[ctx as usize * self.m() + *current as usize],
-                    None => self.dead(),
-                };
-                false
-            }
-        }
-    }
-
-    /// Shared validation for [`Suspend::resume_run`] /
-    /// [`Suspend::resume_lane`]: every extended state must index the
-    /// extended tables.
-    fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        if s.fingerprint != self.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
-                found: s.fingerprint,
-            });
-        }
-        let m = self.m() as u32;
-        if s.state >= m || s.stack.iter().any(|&v| v >= m) {
-            return Err(PersistError::Malformed {
-                context: "snapshot state outside the extended domain",
-            });
-        }
-        if (s.peak as usize) < s.stack.len() {
-            return Err(PersistError::Malformed {
-                context: "snapshot peak below its stack height",
-            });
-        }
-        if s.check != 0 {
-            return Err(PersistError::Malformed {
-                context: "stepwise snapshots carry no integrity word",
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Compile for DetStepwiseTA {
@@ -263,62 +207,17 @@ impl Compile for DetStepwiseTA {
     }
 }
 
-/// A streaming run of a [`CompiledStepwiseTA`] over tree events: the
-/// current extended value plus the stack of suspended parent folds — one
-/// frame per open node, so peak memory is the tree depth.
-#[derive(Debug, Clone)]
-pub struct CompiledStepwiseRun<'a> {
-    tables: &'a CompiledStepwiseTA,
-    current: u32,
-    stack: Vec<u32>,
-    max_stack: usize,
-    steps: usize,
-}
-
-impl StreamRun for CompiledStepwiseRun<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
-        if self
-            .tables
-            .step_value(&mut self.current, &mut self.stack, event)
-        {
-            self.max_stack = self.max_stack.max(self.stack.len());
-        }
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.tables.accepting_ext[self.current as usize]
-    }
-
-    fn stack_height(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn peak_memory(&self) -> usize {
-        self.max_stack
-    }
-
-    fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 impl StreamAcceptor for CompiledStepwiseTA {
-    type Run<'a> = CompiledStepwiseRun<'a>;
+    type Run<'a> = LaneRun<'a, Self>;
 
-    fn start(&self) -> CompiledStepwiseRun<'_> {
-        CompiledStepwiseRun {
-            tables: self,
-            current: self.top_start(),
-            stack: Vec::new(),
-            max_stack: 0,
-            steps: 0,
-        }
+    fn start(&self) -> LaneRun<'_, Self> {
+        LaneRun::new(self)
     }
 }
 
-/// One stream's worth of batched-execution state for a
-/// [`CompiledStepwiseTA`]: the extended value plus the parent-fold stack,
+/// One stream's worth of run state for a [`CompiledStepwiseTA`] over tree
+/// events: the current extended value plus the stack of suspended parent
+/// folds — one frame per open node, so peak memory is the tree depth —
 /// owned so N lanes share one artifact across threads.
 #[derive(Debug, Clone)]
 pub struct CompiledStepwiseLane {
@@ -343,18 +242,31 @@ impl BatchAcceptor for CompiledStepwiseTA {
     #[inline]
     fn lane_step(&self, lane: &mut CompiledStepwiseLane, event: TaggedSymbol) {
         lane.steps += 1;
-        if self.step_value(&mut lane.current, &mut lane.stack, event) {
-            lane.max_stack = lane.max_stack.max(lane.stack.len());
-        }
+        lane.current = match event {
+            TaggedSymbol::Call(a) => {
+                lane.stack.push(lane.current);
+                lane.max_stack = lane.max_stack.max(lane.stack.len());
+                if (a.index() as u32) < self.sigma {
+                    self.init[a.index()]
+                } else {
+                    self.dead()
+                }
+            }
+            TaggedSymbol::Internal(_) => self.dead(),
+            TaggedSymbol::Return(_) => match lane.stack.pop() {
+                Some(ctx) => self.combine_ext[ctx as usize * self.m() + lane.current as usize],
+                None => self.dead(),
+            },
+        };
     }
 
-    fn lane_accepting(&self, lane: &CompiledStepwiseLane) -> bool {
-        self.accepting_ext[lane.current as usize]
+    fn lane_height(&self, lane: &CompiledStepwiseLane) -> usize {
+        lane.stack.len()
     }
 
     fn lane_outcome(&self, lane: &CompiledStepwiseLane) -> StreamOutcome {
         StreamOutcome {
-            accepted: self.lane_accepting(lane),
+            accepted: self.accepting_ext[lane.current as usize],
             events: lane.steps,
             peak_memory: lane.max_stack,
         }
@@ -453,8 +365,30 @@ impl Suspend for CompiledStepwiseTA {
         }
     }
 
+    /// Every extended state must index the extended tables.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<CompiledStepwiseLane, PersistError> {
-        self.check_snapshot(snapshot)?;
+        if snapshot.fingerprint != self.fingerprint {
+            return Err(PersistError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: snapshot.fingerprint,
+            });
+        }
+        let m = self.m() as u32;
+        if snapshot.state >= m || snapshot.stack.iter().any(|&v| v >= m) {
+            return Err(PersistError::Malformed {
+                context: "snapshot state outside the extended domain",
+            });
+        }
+        if (snapshot.peak as usize) < snapshot.stack.len() {
+            return Err(PersistError::Malformed {
+                context: "snapshot peak below its stack height",
+            });
+        }
+        if snapshot.check != 0 {
+            return Err(PersistError::Malformed {
+                context: "stepwise snapshots carry no integrity word",
+            });
+        }
         Ok(CompiledStepwiseLane {
             current: snapshot.state,
             stack: snapshot.stack.clone(),
@@ -462,43 +396,12 @@ impl Suspend for CompiledStepwiseTA {
             steps: decode_steps(snapshot.steps)?,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledStepwiseRun<'_>) -> Snapshot {
-        Snapshot {
-            fingerprint: self.fingerprint,
-            state: run.current,
-            stack: run.stack.clone(),
-            peak: run.max_stack as u32,
-            steps: run.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_run<'a>(
-        &'a self,
-        snapshot: &Snapshot,
-    ) -> Result<CompiledStepwiseRun<'a>, PersistError> {
-        self.check_snapshot(snapshot)?;
-        Ok(CompiledStepwiseRun {
-            tables: self,
-            current: snapshot.state,
-            stack: snapshot.stack.clone(),
-            max_stack: snapshot.peak as usize,
-            steps: decode_steps(snapshot.steps)?,
-        })
-    }
-}
-
-/// Step counters are `u64` on the wire and `usize` in run state.
-fn decode_steps(steps: u64) -> Result<usize, PersistError> {
-    usize::try_from(steps).map_err(|_| PersistError::Malformed {
-        context: "snapshot step count overflows",
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automata_core::StreamRun;
     use nested_words::{OrderedTree, Symbol};
 
     /// Two states over Σ = {a, b}: state 1 iff the tree contains a `b`.

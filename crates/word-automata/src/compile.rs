@@ -4,12 +4,12 @@
 
 use crate::dfa::Dfa;
 use automata_core::persist::{
-    checksum_bytes, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind, Reader,
-    Writer,
+    checksum_bytes, decode_steps, expect_alphabet, fingerprint_alphabet, fingerprint_payload, kind,
+    Reader, Writer,
 };
 use automata_core::{
-    BatchAcceptor, Compile, Persist, PersistError, Snapshot, StreamAcceptor, StreamOutcome,
-    StreamRun, Suspend,
+    BatchAcceptor, Compile, LaneRun, Persist, PersistError, Snapshot, StreamAcceptor,
+    StreamOutcome, Suspend,
 };
 use nested_words::TaggedSymbol;
 
@@ -103,52 +103,13 @@ impl CompiledTaggedDfa {
         (v as usize) < self.next.len() && v.is_multiple_of(self.stride)
     }
 
-    /// Shared validation for [`Suspend::resume_run`] /
-    /// [`Suspend::resume_lane`]: flat snapshots are a bare state — any
-    /// stack, peak or integrity word is structurally impossible.
-    fn check_snapshot(&self, s: &Snapshot) -> Result<(), PersistError> {
-        if s.fingerprint != self.fingerprint {
-            return Err(PersistError::FingerprintMismatch {
-                expected: self.fingerprint,
-                found: s.fingerprint,
-            });
-        }
-        if !self.is_row(s.state) {
-            return Err(PersistError::Malformed {
-                context: "snapshot state is not a row offset of this artifact",
-            });
-        }
-        if !s.stack.is_empty() || s.peak != 0 || s.check != 0 {
-            return Err(PersistError::Malformed {
-                context: "flat-automaton snapshots carry no stack",
-            });
-        }
-        Ok(())
-    }
-
     /// Runs a whole pre-materialized event slice through the array and
-    /// reports the outcome — the bulk entry point of the compiled engine.
-    ///
-    /// Language-equivalent to driving [`StreamAcceptor::start`] event by
-    /// event, but the event kind enters the address as arithmetic on the
-    /// discriminant (`matches!` comparisons compile to setcc) instead of
-    /// the per-arm `match` of [`TaggedSymbol::tagged_index`], whose
-    /// data-dependent branches mispredict on real event mixes; the state
-    /// stays in a register for the whole slice.
-    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> automata_core::StreamOutcome {
-        let sigma = self.sigma as u32;
-        let mut state = self.initial;
-        for &event in events {
-            let a = event.symbol().index() as u32;
-            let kind = u32::from(matches!(event, TaggedSymbol::Internal(_)))
-                + 2 * u32::from(matches!(event, TaggedSymbol::Return(_)));
-            state = self.next[(state + kind * sigma + a) as usize];
-        }
-        automata_core::StreamOutcome {
-            accepted: self.accepting[(state / self.stride) as usize],
-            events: events.len(),
-            peak_memory: 0,
-        }
+    /// reports the outcome: a fresh lane, the slice kernel
+    /// ([`BatchAcceptor::lane_step_slice`]) and the lane's outcome.
+    pub fn run_tagged(&self, events: &[TaggedSymbol]) -> StreamOutcome {
+        let mut lane = self.lane_start();
+        self.lane_step_slice(&mut lane, events);
+        self.lane_outcome(&lane)
     }
 
     /// K streams through K register-resident states in lockstep. A single
@@ -191,73 +152,17 @@ impl CompiledTaggedDfa {
     }
 }
 
-/// A streaming run of a [`CompiledTaggedDfa`]: stack-free, one add-and-load
-/// per event.
-#[derive(Debug, Clone)]
-pub struct CompiledTaggedDfaRun<'a> {
-    tables: &'a CompiledTaggedDfa,
-    state: u32,
-    steps: usize,
-}
-
-impl StreamRun for CompiledTaggedDfaRun<'_> {
-    fn step(&mut self, event: TaggedSymbol) {
-        self.steps += 1;
-        let t = event.tagged_index(self.tables.sigma) as u32;
-        self.state = self.tables.next[(self.state + t) as usize];
-    }
-
-    /// Bulk entry: keeps the state in a register across the slice and
-    /// decodes the event kind with flag-style arithmetic (setcc, no
-    /// data-dependent branch), the flat Σ̂ analogue of the compiled NWA's
-    /// `run_tagged` loop.
-    fn step_slice(&mut self, events: &[TaggedSymbol]) {
-        let next = &self.tables.next;
-        let sigma = self.tables.sigma as u32;
-        let mut state = self.state;
-        for &event in events {
-            let a = event.symbol().index() as u32;
-            let is_int = u32::from(matches!(event, TaggedSymbol::Internal(_)));
-            let is_ret = u32::from(matches!(event, TaggedSymbol::Return(_)));
-            let kind = is_int + 2 * is_ret;
-            state = next[(state + kind * sigma + a) as usize];
-        }
-        self.state = state;
-        self.steps += events.len();
-    }
-
-    fn is_accepting(&self) -> bool {
-        self.tables.accepting[(self.state / self.tables.stride) as usize]
-    }
-
-    fn stack_height(&self) -> usize {
-        0
-    }
-
-    fn peak_memory(&self) -> usize {
-        0
-    }
-
-    fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 impl StreamAcceptor for CompiledTaggedDfa {
-    type Run<'a> = CompiledTaggedDfaRun<'a>;
+    type Run<'a> = LaneRun<'a, Self>;
 
-    fn start(&self) -> CompiledTaggedDfaRun<'_> {
-        CompiledTaggedDfaRun {
-            tables: self,
-            state: self.initial,
-            steps: 0,
-        }
+    fn start(&self) -> LaneRun<'_, Self> {
+        LaneRun::new(self)
     }
 }
 
-/// One stream's worth of batched-execution state for a
-/// [`CompiledTaggedDfa`]: the premultiplied state and an event count —
-/// stack-free, so a lane is two words.
+/// One stream's worth of run state for a [`CompiledTaggedDfa`]: the
+/// premultiplied state and an event count — stack-free, so a lane is two
+/// words.
 #[derive(Debug, Clone)]
 pub struct CompiledTaggedDfaLane {
     state: u32,
@@ -274,25 +179,39 @@ impl BatchAcceptor for CompiledTaggedDfa {
         }
     }
 
-    /// The setcc-decoded add-and-load of [`CompiledTaggedDfa::run_tagged`]
-    /// on a stored lane; interleaved lanes are independent load chains.
+    /// The setcc-decoded add-and-load of the slice kernel on a stored lane;
+    /// interleaved lanes are independent load chains.
     #[inline]
     fn lane_step(&self, lane: &mut CompiledTaggedDfaLane, event: TaggedSymbol) {
-        let sigma = self.sigma as u32;
-        let a = event.symbol().index() as u32;
-        let kind = u32::from(matches!(event, TaggedSymbol::Internal(_)))
-            + 2 * u32::from(matches!(event, TaggedSymbol::Return(_)));
-        lane.state = self.next[(lane.state + kind * sigma + a) as usize];
-        lane.steps += 1;
+        self.lane_step_slice(lane, &[event]);
     }
 
-    fn lane_accepting(&self, lane: &CompiledTaggedDfaLane) -> bool {
-        self.accepting[(lane.state / self.stride) as usize]
+    /// The event kind enters the address as arithmetic on the discriminant
+    /// (`matches!` comparisons compile to setcc) instead of the per-arm
+    /// `match` of [`TaggedSymbol::tagged_index`], whose data-dependent
+    /// branches mispredict on real event mixes; the state stays in a
+    /// register for the whole slice.
+    #[inline]
+    fn lane_step_slice(&self, lane: &mut CompiledTaggedDfaLane, events: &[TaggedSymbol]) {
+        let sigma = self.sigma as u32;
+        let mut state = lane.state;
+        for &event in events {
+            let a = event.symbol().index() as u32;
+            let kind = u32::from(matches!(event, TaggedSymbol::Internal(_)))
+                + 2 * u32::from(matches!(event, TaggedSymbol::Return(_)));
+            state = self.next[(state + kind * sigma + a) as usize];
+        }
+        lane.state = state;
+        lane.steps += events.len();
+    }
+
+    fn lane_height(&self, _: &CompiledTaggedDfaLane) -> usize {
+        0
     }
 
     fn lane_outcome(&self, lane: &CompiledTaggedDfaLane) -> StreamOutcome {
         StreamOutcome {
-            accepted: self.lane_accepting(lane),
+            accepted: self.accepting[(lane.state / self.stride) as usize],
             events: lane.steps,
             peak_memory: 0,
         }
@@ -419,43 +338,30 @@ impl Suspend for CompiledTaggedDfa {
         }
     }
 
+    /// Flat snapshots are a bare state — any stack, peak or integrity word
+    /// is structurally impossible.
     fn resume_lane(&self, snapshot: &Snapshot) -> Result<CompiledTaggedDfaLane, PersistError> {
-        self.check_snapshot(snapshot)?;
+        if snapshot.fingerprint != self.fingerprint {
+            return Err(PersistError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: snapshot.fingerprint,
+            });
+        }
+        if !self.is_row(snapshot.state) {
+            return Err(PersistError::Malformed {
+                context: "snapshot state is not a row offset of this artifact",
+            });
+        }
+        if !snapshot.stack.is_empty() || snapshot.peak != 0 || snapshot.check != 0 {
+            return Err(PersistError::Malformed {
+                context: "flat-automaton snapshots carry no stack",
+            });
+        }
         Ok(CompiledTaggedDfaLane {
             state: snapshot.state,
             steps: decode_steps(snapshot.steps)?,
         })
     }
-
-    fn suspend_run(&self, run: &CompiledTaggedDfaRun<'_>) -> Snapshot {
-        Snapshot {
-            fingerprint: self.fingerprint,
-            state: run.state,
-            stack: Vec::new(),
-            peak: 0,
-            steps: run.steps as u64,
-            check: 0,
-        }
-    }
-
-    fn resume_run<'a>(
-        &'a self,
-        snapshot: &Snapshot,
-    ) -> Result<CompiledTaggedDfaRun<'a>, PersistError> {
-        self.check_snapshot(snapshot)?;
-        Ok(CompiledTaggedDfaRun {
-            tables: self,
-            state: snapshot.state,
-            steps: decode_steps(snapshot.steps)?,
-        })
-    }
-}
-
-/// Step counters are `u64` on the wire and `usize` in run state.
-fn decode_steps(steps: u64) -> Result<usize, PersistError> {
-    usize::try_from(steps).map_err(|_| PersistError::Malformed {
-        context: "snapshot step count overflows",
-    })
 }
 
 #[cfg(test)]

@@ -115,9 +115,9 @@ pub use word_automata;
 /// the unified traits.
 pub mod prelude {
     pub use automata_core::{
-        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, Minimize,
-        MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun, Snapshot, StateId,
-        StreamAcceptor, StreamOutcome, StreamRun, Suspend, Witness,
+        Acceptor, BatchAcceptor, BooleanOps, Builder, Compile, Decide, Emptiness, LaneRun,
+        Minimize, MultiAcceptor, MultiCompile, Persist, PersistError, QuerySetRun, Snapshot,
+        StateId, StreamAcceptor, StreamOutcome, StreamRun, Suspend, Witness,
     };
     pub use nested_words::tagged::{display_nested_word, parse_nested_word};
     pub use nested_words::{

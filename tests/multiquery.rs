@@ -198,11 +198,11 @@ fn deep_word(len: usize, rng: &mut Prng) -> Vec<TaggedSymbol> {
 type Observation = (u64, bool, usize, usize, usize);
 
 /// The reference observation after every prefix (index = prefix length),
-/// from one standalone `CompiledNwa` run per query stepped event by event.
+/// from one standalone interpreted `Nwa` run per query stepped event by
+/// event.
 fn standalone_trace(queries: &[Nwa], events: &[TaggedSymbol]) -> Vec<Observation> {
-    let engines: Vec<CompiledNwa> = queries.iter().map(query::compile).collect();
-    let mut solo: Vec<_> = engines.iter().map(|e| e.start()).collect();
-    let observe = |solo: &[<CompiledNwa as StreamAcceptor>::Run<'_>]| {
+    let mut solo: Vec<_> = queries.iter().map(|q| q.start()).collect();
+    let observe = |solo: &[<Nwa as StreamAcceptor>::Run<'_>]| {
         let mask = solo
             .iter()
             .enumerate()
@@ -239,7 +239,7 @@ enum Chunking {
 /// every chunking (and `step` interleaved), at M on both sides of the
 /// four-member interleave, over words deeper than 64 whose pending calls
 /// and returns straddle slice seams — every observation at every seam
-/// equals the standalone `CompiledNwa` runs.
+/// equals the standalone interpreted runs.
 #[test]
 fn slice_path_matches_standalone_runs_at_every_seam() {
     let chunkings = [

@@ -6,8 +6,9 @@
 //!   a reloaded artifact observes the same verdict, step count and peak
 //!   memory as the uninterrupted run at every subsequent prefix, pending
 //!   edges included, and the final snapshots coincide;
-//! * **run ↔ lane interchange** — `suspend_run` / `suspend_lane`
-//!   snapshots resume as either kind of run;
+//! * **slice-fed runs suspend exactly** — a `start()` run driven through
+//!   `step_slice` over random cut points snapshots (via its lane) exactly
+//!   like a lane stepped event by event to the same prefix;
 //! * **typed rejection** — corrupt bytes (truncated anywhere, or any byte
 //!   flipped, header and payload alike) and cross-artifact snapshots are
 //!   typed [`PersistError`]s, never panics or silent misreads.
@@ -23,6 +24,7 @@ use common::{
 use nested_words_suite::nested_words::generate::{
     random_nested_word, random_tree, NestedWordConfig,
 };
+use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
@@ -95,31 +97,35 @@ fn check_suspend_everywhere<A: Suspend>(artifact: &A, events: &[TaggedSymbol], c
     }
 }
 
-/// The run ↔ lane interchange law at a single cut: a snapshot taken from a
-/// borrowing run resumes as a lane and vice versa, with identical
-/// observables either way.
-fn check_run_lane_interchange<A: Suspend>(artifact: &A, events: &[TaggedSymbol], ctx: &str) {
-    let cut = events.len() / 2;
+/// Slice-fed runs suspend exactly: drive `start()` through `step_slice`
+/// over random cut points and, after every slice, require the snapshot of
+/// the run's lane to equal the one from a lane stepped event by event to
+/// the same prefix. A slice ending on a call is where a register-resident
+/// slice kernel must write its cached stack top back (the dense engine's
+/// spilled slot under the top is stale then), so short random slices hit
+/// that seam many times per stream. The `Run` bound pins that the run *is*
+/// a lane.
+fn check_sliced_run_suspends<A>(artifact: &A, events: &[TaggedSymbol], seed: u64, ctx: &str)
+where
+    A: Suspend + for<'a> StreamAcceptor<Run<'a> = LaneRun<'a, A>>,
+{
+    let mut rng = Prng::new(seed);
     let mut run = artifact.start();
     let mut lane = artifact.lane_start();
-    for &event in &events[..cut] {
-        run.step(event);
-        artifact.lane_step(&mut lane, event);
+    let mut at = 0;
+    while at < events.len() {
+        let end = (at + 1 + rng.below(6)).min(events.len());
+        run.step_slice(&events[at..end]);
+        for &event in &events[at..end] {
+            artifact.lane_step(&mut lane, event);
+        }
+        at = end;
+        assert_eq!(
+            query::suspend(artifact, run.lane()),
+            query::suspend(artifact, &lane),
+            "{ctx}, prefix {at}"
+        );
     }
-    let from_run = artifact.suspend_run(&run);
-    let from_lane = artifact.suspend_lane(&lane);
-    assert_eq!(from_run, from_lane, "{ctx}: run and lane snapshots differ");
-
-    let mut as_lane = artifact.resume_lane(&from_run).expect(ctx);
-    let mut as_run = artifact.resume_run(&from_lane).expect(ctx);
-    for &event in &events[cut..] {
-        artifact.lane_step(&mut as_lane, event);
-        as_run.step(event);
-    }
-    let lane_outcome = artifact.lane_outcome(&as_lane);
-    assert_eq!(lane_outcome.accepted, as_run.is_accepting(), "{ctx}");
-    assert_eq!(lane_outcome.events, as_run.steps(), "{ctx}");
-    assert_eq!(lane_outcome.peak_memory, as_run.peak_memory(), "{ctx}");
 }
 
 /// Corruption of the byte image — truncation at every length, every byte
@@ -151,7 +157,12 @@ fn compiled_nwa_round_trips_and_resumes_everywhere() {
         assert_eq!(reloaded, compiled, "seed {seed}");
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("nwa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("nwa seed {seed}, stream {i}"));
+            check_sliced_run_suspends(
+                &compiled,
+                events,
+                seed ^ i as u64,
+                &format!("nwa seed {seed}, stream {i}"),
+            );
         }
     }
 }
@@ -164,7 +175,12 @@ fn compiled_summary_engines_round_trip_and_resume_everywhere() {
         let compiled = nnwa.compile();
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("nnwa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("nnwa seed {seed}, stream {i}"));
+            check_sliced_run_suspends(
+                &compiled,
+                events,
+                seed ^ i as u64,
+                &format!("nnwa seed {seed}, stream {i}"),
+            );
         }
         // After the runs above the memo cache is warm; the warm cache is
         // part of the artifact and of its structural equality.
@@ -195,7 +211,12 @@ fn compiled_tagged_dfa_round_trips_and_resumes_everywhere() {
         assert_eq!(reloaded, compiled, "seed {seed}");
         for (i, events) in streams.iter().enumerate() {
             check_suspend_everywhere(&compiled, events, &format!("dfa seed {seed}, stream {i}"));
-            check_run_lane_interchange(&compiled, events, &format!("dfa seed {seed}, stream {i}"));
+            check_sliced_run_suspends(
+                &compiled,
+                events,
+                seed ^ i as u64,
+                &format!("dfa seed {seed}, stream {i}"),
+            );
         }
     }
 }
@@ -217,9 +238,10 @@ fn compiled_stepwise_ta_round_trips_and_resumes_everywhere() {
                 events,
                 &format!("stepwise seed {seed}, stream {i}"),
             );
-            check_run_lane_interchange(
+            check_sliced_run_suspends(
                 &compiled,
                 events,
+                seed ^ i as u64,
                 &format!("stepwise seed {seed}, stream {i}"),
             );
         }

@@ -5,11 +5,16 @@
 //! every compiled engine, on seeded random tagged words with pending calls
 //! and returns:
 //!
-//! 1. **lane ≡ run** — an owned lane stepped through a stream observes
-//!    exactly what the borrowing `StreamRun` observes at *every prefix*
-//!    (acceptance, events consumed, peak memory);
+//! 1. **lane ≡ reference** — an owned lane stepped through a stream
+//!    observes exactly what the source model's *interpreted* `StreamRun`
+//!    (`Nwa`, `Nnwa`, `JoinlessNwa`, the tagged `Dfa`) observes at *every
+//!    prefix* (acceptance, events consumed, peak memory, stack height). A
+//!    compiled artifact's own run is its lane, so the interpreted runs are
+//!    the independent reference;
 //! 2. **batch ≡ sequential** — `run_batch` over N streams returns, per
-//!    lane, the `StreamOutcome` of running that stream alone.
+//!    lane, the `StreamOutcome` of the reference run on that stream alone —
+//!    for a `QuerySet` (both backends), the conjunction of its members'
+//!    standalone interpreted runs.
 //!
 //! On top of that, the `DecisionService` is smoked multi-threaded: many
 //! submitter threads against one service, every verdict compared against
@@ -45,19 +50,24 @@ fn random_words(count: usize, base_seed: u64) -> Vec<Vec<TaggedSymbol>> {
 }
 
 /// Law 1 for one artifact on one stream: the lane's observables equal the
-/// streaming run's at every prefix.
-fn assert_lane_matches_run<A: BatchAcceptor>(a: &A, stream: &[TaggedSymbol], ctx: &str) {
+/// interpreted reference run's at every prefix.
+fn assert_lane_matches_run<A: BatchAcceptor, R: StreamAcceptor>(
+    a: &A,
+    reference: &R,
+    stream: &[TaggedSymbol],
+    ctx: &str,
+) {
     let mut lane = a.lane_start();
-    let mut run = a.start();
+    let mut run = reference.start();
     for (j, &event) in stream.iter().enumerate() {
         a.lane_step(&mut lane, event);
         run.step(event);
+        let outcome = a.lane_outcome(&lane);
         assert_eq!(
-            a.lane_accepting(&lane),
+            outcome.accepted,
             run.is_accepting(),
             "{ctx}, prefix {j}: acceptance"
         );
-        let outcome = a.lane_outcome(&lane);
         assert_eq!(outcome.events, run.steps(), "{ctx}, prefix {j}: events");
         assert_eq!(
             outcome.peak_memory,
@@ -65,11 +75,22 @@ fn assert_lane_matches_run<A: BatchAcceptor>(a: &A, stream: &[TaggedSymbol], ctx
             "{ctx}, prefix {j}: peak memory"
         );
         assert_eq!(
-            outcome.accepted,
-            run.is_accepting(),
-            "{ctx}, prefix {j}: outcome acceptance"
+            a.lane_height(&lane),
+            run.stack_height(),
+            "{ctx}, prefix {j}: stack height"
         );
     }
+}
+
+/// Each stream's outcome under the interpreted reference run.
+fn reference_outcomes<R: StreamAcceptor>(
+    reference: &R,
+    streams: &[Vec<TaggedSymbol>],
+) -> Vec<StreamOutcome> {
+    streams
+        .iter()
+        .map(|s| query::run_stream(reference, s.iter().copied()))
+        .collect()
 }
 
 /// Law 2 for one artifact over a batch of streams, through both spellings
@@ -77,17 +98,14 @@ fn assert_lane_matches_run<A: BatchAcceptor>(a: &A, stream: &[TaggedSymbol], ctx
 /// facade), and lanes driven directly through `lane_start` / `lane_step` /
 /// `lane_outcome` — four at a time in lockstep rounds over each chunk's
 /// common prefix, then each lane's tail alone, the interleaving a serving
-/// loop performs.
+/// loop performs. `sequential` holds each stream's reference outcome.
 fn assert_batch_matches_sequential<A: BatchAcceptor>(
     a: &A,
     streams: &[Vec<TaggedSymbol>],
+    sequential: &[StreamOutcome],
     ctx: &str,
 ) {
     let slices: Vec<&[TaggedSymbol]> = streams.iter().map(Vec::as_slice).collect();
-    let sequential: Vec<StreamOutcome> = streams
-        .iter()
-        .map(|s| query::run_stream(a, s.iter().copied()))
-        .collect();
     assert_eq!(query::run_batch(a, &slices), sequential, "{ctx}: run_batch");
 
     for (chunk_index, chunk) in slices.chunks(4).enumerate() {
@@ -117,11 +135,13 @@ fn assert_batch_matches_sequential<A: BatchAcceptor>(
 fn lanes_match_streaming_runs_compiled_nwa() {
     let words = random_words(prop_iters(40), 0x1A);
     for seed in 0..5u64 {
-        let c = random_det_nwa(3, 2, seed).compile();
+        let m = random_det_nwa(3, 2, seed);
+        let c = m.compile();
         for (i, w) in words.iter().enumerate() {
-            assert_lane_matches_run(&c, w, &format!("nwa seed {seed}, word {i}"));
+            assert_lane_matches_run(&c, &m, w, &format!("nwa seed {seed}, word {i}"));
         }
-        assert_batch_matches_sequential(&c, &words, &format!("nwa seed {seed}"));
+        let sequential = reference_outcomes(&m, &words);
+        assert_batch_matches_sequential(&c, &words, &sequential, &format!("nwa seed {seed}"));
     }
 }
 
@@ -132,16 +152,18 @@ fn lanes_match_streaming_runs_compiled_summary() {
         let n = random_nnwa_with_transitions(3, 2, 9, seed);
         let c = n.compile();
         for (i, w) in words.iter().enumerate() {
-            assert_lane_matches_run(&c, w, &format!("nnwa seed {seed}, word {i}"));
+            assert_lane_matches_run(&c, &n, w, &format!("nnwa seed {seed}, word {i}"));
         }
-        assert_batch_matches_sequential(&c, &words, &format!("nnwa seed {seed}"));
+        let sequential = reference_outcomes(&n, &words);
+        assert_batch_matches_sequential(&c, &words, &sequential, &format!("nnwa seed {seed}"));
 
         let j = joinless_from_nwa(&n);
         let cj = j.compile();
         for (i, w) in words.iter().enumerate() {
-            assert_lane_matches_run(&cj, w, &format!("joinless seed {seed}, word {i}"));
+            assert_lane_matches_run(&cj, &j, w, &format!("joinless seed {seed}, word {i}"));
         }
-        assert_batch_matches_sequential(&cj, &words, &format!("joinless seed {seed}"));
+        let sequential = reference_outcomes(&j, &words);
+        assert_batch_matches_sequential(&cj, &words, &sequential, &format!("joinless seed {seed}"));
     }
 }
 
@@ -151,11 +173,46 @@ fn lanes_match_streaming_runs_compiled_tagged_dfa() {
     for seed in 0..5u64 {
         // Over the tagged alphabet Σ̂ for σ = 2, as the streaming DFA path
         // reads it.
-        let c = random_dfa(4, 6, seed).compile();
+        let d = random_dfa(4, 6, seed);
+        let c = d.compile();
         for (i, w) in words.iter().enumerate() {
-            assert_lane_matches_run(&c, w, &format!("dfa seed {seed}, word {i}"));
+            assert_lane_matches_run(&c, &d, w, &format!("dfa seed {seed}, word {i}"));
         }
-        assert_batch_matches_sequential(&c, &words, &format!("dfa seed {seed}"));
+        let sequential = reference_outcomes(&d, &words);
+        assert_batch_matches_sequential(&c, &words, &sequential, &format!("dfa seed {seed}"));
+    }
+}
+
+/// The `QuerySet` conjunction view under batched execution, on both
+/// backends: each stream's outcome is the conjunction of the members'
+/// standalone interpreted runs.
+#[test]
+fn lanes_match_streaming_runs_query_set() {
+    let words = random_words(prop_iters(25), 0x4D);
+    for seed in 0..4u64 {
+        let queries: Vec<Nwa> = (0..3).map(|i| random_det_nwa(3, 2, seed * 8 + i)).collect();
+        let sequential: Vec<StreamOutcome> = words
+            .iter()
+            .map(|w| {
+                let members: Vec<StreamOutcome> = queries
+                    .iter()
+                    .map(|q| query::run_stream(q, w.iter().copied()))
+                    .collect();
+                StreamOutcome {
+                    accepted: members.iter().all(|o| o.accepted),
+                    ..members[0]
+                }
+            })
+            .collect();
+        for backend in [QuerySetBackend::Product, QuerySetBackend::Lockstep] {
+            let set = QuerySet::with_backend(&queries, backend);
+            assert_batch_matches_sequential(
+                &set,
+                &words,
+                &sequential,
+                &format!("query set seed {seed}, {backend:?}"),
+            );
+        }
     }
 }
 
