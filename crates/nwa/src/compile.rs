@@ -18,27 +18,35 @@
 //!   unpredictable call/internal/return mix of real documents stops
 //!   costing a branch misprediction per event.
 //! * [`CompiledSummary`] executes the summary-set subset construction of
-//!   §3.2 over **interned** state-pair sets with a **memoized transition
-//!   cache**: each distinct (summary, symbol) step is derived once from the
-//!   nondeterministic relations and afterwards answered by a hash lookup,
-//!   so streams with repeated event patterns run at deterministic-automaton
-//!   speed after warm-up.
+//!   §3.2 over **interned** state-pair sets. The interned summaries are the
+//!   states of the determinized NWA, so the engine stores each derived step
+//!   in the same kind of dense `u32` rows: summary `id` is the state offset
+//!   `id·σ`, an event decodes to `kind·σ + a`, and a hierarchical state
+//!   (outer summary, call symbol) owns a block of return rows. A step is
+//!   derived once from the nondeterministic relations, on the first miss,
+//!   under a write lock. A slice of events takes the read guard once and
+//!   runs on the rows in a register-resident loop, so streams with
+//!   repeated event patterns run at deterministic-automaton speed after
+//!   warm-up.
 //!
 //! The trade-off is memory: `CompiledNwa` materializes the full
 //! `states² × 3σ` return block in `u32`s up front (compilation fails on
-//! automata where the offsets would overflow `u32`), and
-//! `CompiledSummary`'s cache grows with the number of *distinct* summaries
-//! the input streams actually visit — bounded by the (exponential)
-//! determinization size, but in practice tiny and shared across runs.
+//! automata where the offsets would overflow `u32`). `CompiledSummary`'s
+//! rows grow by 4σ entries per *distinct* summary the input streams visit —
+//! bounded by the (exponential) determinization size, but in practice tiny
+//! and shared across runs. Its return blocks stay within
+//! [`PRODUCT_TABLE_BYTE_CAP`]; return rows past the cap live in a residual
+//! hash map.
 //! Both artifacts are language-exact: `tests/compile.rs` property-tests
 //! compiled ≡ interpreted at every prefix, pending edges included.
 
 use crate::automaton::Nwa;
 use crate::joinless::JoinlessNwa;
+use crate::multi::PRODUCT_TABLE_BYTE_CAP;
 use crate::nondet::Nnwa;
 use crate::summary::{Summary, SummarySemantics};
 use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamOutcome};
-use nested_words::{PositionKind, Symbol, TaggedSymbol};
+use nested_words::{Symbol, TaggedSymbol};
 use std::collections::HashMap;
 use std::sync::RwLock;
 
@@ -582,8 +590,17 @@ impl Compile for Nwa {
 }
 
 // --------------------------------------------------------------------------
-// Nondeterministic models: memoized summary subset engine
+// Nondeterministic models: the summary engine's dense memo table
 // --------------------------------------------------------------------------
+
+/// Table entry of a row that is not derived yet. Real entries are state
+/// offsets `id·σ`, which stay below the table's `u32` offset space (see
+/// [`SummaryCache::fits`]), so they never collide with it.
+const MISS: u32 = u32::MAX;
+
+/// Most events stepped under one read guard: a writer deriving a miss on
+/// another thread waits for at most this many events.
+const GUARD_EVENTS: usize = 4096;
 
 /// A summary interned by the memoized subset engine: the set itself (needed
 /// to derive yet-unseen transitions) plus its memoized acceptance bit.
@@ -593,22 +610,69 @@ pub(crate) struct InternedSummary {
     pub(crate) accepting: bool,
 }
 
-/// The memoization state of a [`CompiledSummary`] engine: interned
-/// summaries and one transition cache per step relation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Where one memoized step of the subset construction lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Row {
+    /// A call-linear, internal or pending-return entry: the index
+    /// `3·s + kind·σ + a` into the linear rows.
+    Linear(usize),
+    /// A matched return: the popped frame `outer·σ + call symbol`, the
+    /// inner summary's state offset and the return symbol.
+    Matched { frame: u32, inner: u32, a: u32 },
+}
+
+/// The memo table of a [`CompiledSummary`] engine: the interned summaries
+/// and every derived step, laid out as the rows of the determinized NWA.
+///
+/// Summary `id` runs as the state offset `s = id·σ` (σ at least 1 here).
+///
+/// * `rows[3·s + kind·σ + a]` is the successor of a call (kind 0, the
+///   linear successor), an internal (1) or a pending return (2). Every
+///   interned summary appends its 3σ entries, all `MISS`.
+/// * `hier[s + a]` is the hierarchical state (summary `id`, call symbol
+///   `a`): the base in `ret` of its block of return rows, or 0, the shared
+///   all-`MISS` block. A lane's stack frame is the slot index `s + a`.
+/// * `ret[base + s + a]` is the matched return of that hierarchical state
+///   over inner summary `s` by symbol `a`. A block has rows for
+///   `block_rows` summaries; when the interned count outgrows that, every
+///   block is re-placed at twice the size. A hierarchical state gets its
+///   block on the first matched return through it, while `ret` stays
+///   within [`PRODUCT_TABLE_BYTE_CAP`].
+/// * `matched` is the residual map for return rows past that cap. It is
+///   the only path for automata whose visited summaries outgrow the cap,
+///   and the slice kernel consults it only when the dense lookup misses.
+///
+/// Ids never change, so the relations this layout stores — and the
+/// artifact bytes saved from them — are the same as under any other
+/// layout; equality compares the relations ([`SummaryCache::memo_rows`]).
+#[derive(Debug, Clone)]
 pub(crate) struct SummaryCache {
     /// Interned summaries by id.
     pub(crate) summaries: Vec<InternedSummary>,
     /// Summary → id, keyed by the packed sorted pair list.
     pub(crate) index: HashMap<Vec<u64>, u32>,
-    /// `(summary, a)` → summary for internal positions.
-    pub(crate) internal: HashMap<(u32, u16), u32>,
-    /// `(summary, a)` → linear-successor summary for call positions.
-    pub(crate) call: HashMap<(u32, u16), u32>,
-    /// `(outer, call symbol, inner, a)` → summary for matched returns.
-    pub(crate) matched: HashMap<(u32, u16, u32, u16), u32>,
-    /// `(summary, a)` → summary for pending returns.
-    pub(crate) pending: HashMap<(u32, u16), u32>,
+    /// `max(σ, 1)`: the band width and the state-offset unit.
+    sigma: u32,
+    rows: Vec<u32>,
+    hier: Vec<u32>,
+    ret: Vec<u32>,
+    /// Summaries each return block has rows for.
+    block_rows: u32,
+    /// The hierarchical slot owning each real block, in block order.
+    pub(crate) owners: Vec<u32>,
+    /// `(outer, call symbol, inner, a)` → id for return rows past the cap.
+    matched: HashMap<(u32, u16, u32, u16), u32>,
+}
+
+/// The derived steps of a [`SummaryCache`] as sorted relations over ids:
+/// `(summary, a, successor)` per linear band and `(outer, call symbol,
+/// inner, a, successor)` for matched returns.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct MemoRows {
+    pub(crate) call: Vec<(u32, u16, u32)>,
+    pub(crate) internal: Vec<(u32, u16, u32)>,
+    pub(crate) pending: Vec<(u32, u16, u32)>,
+    pub(crate) matched: Vec<(u32, u16, u32, u16, u32)>,
 }
 
 /// Packs a summary into its canonical hash key (pairs are already sorted in
@@ -622,39 +686,336 @@ pub(crate) fn summary_key(s: &Summary) -> Vec<u64> {
         .collect()
 }
 
+/// The derived entries of one return block as `(inner, a, successor id)`.
+fn block_entries(block: &[u32], sigma: u32) -> impl Iterator<Item = (u32, u16, u32)> + '_ {
+    block
+        .iter()
+        .enumerate()
+        .filter(|&(_, &v)| v != MISS)
+        .map(move |(i, &v)| {
+            let i = i as u32;
+            (i / sigma, (i % sigma) as u16, v / sigma)
+        })
+}
+
 impl SummaryCache {
+    /// An empty table for an automaton over `sigma` symbols, sized for
+    /// `count` summaries.
+    pub(crate) fn new(sigma: usize, count: usize) -> SummaryCache {
+        let sigma = sigma.max(1);
+        let block_rows = count.max(1);
+        SummaryCache {
+            summaries: Vec::with_capacity(count),
+            index: HashMap::with_capacity(count),
+            sigma: u32::try_from(sigma).expect("alphabet exceeds the u32 offset space"),
+            rows: Vec::with_capacity(3 * sigma * count),
+            hier: Vec::with_capacity(sigma * count),
+            ret: vec![MISS; block_rows * sigma],
+            block_rows: block_rows as u32,
+            owners: Vec::new(),
+            matched: HashMap::new(),
+        }
+    }
+
+    /// Whether `count` summaries over `sigma` symbols fit the `u32` offset
+    /// space the rows are addressed in.
+    pub(crate) fn fits(count: usize, sigma: usize) -> bool {
+        count
+            .checked_mul(3 * sigma.max(1))
+            .is_some_and(|len| len < MISS as usize)
+    }
+
+    /// The state offset of summary `id`.
+    pub(crate) fn offset(&self, id: u32) -> u32 {
+        id * self.sigma
+    }
+
+    /// The summary id of state offset `s`.
+    pub(crate) fn id(&self, s: u32) -> u32 {
+        s / self.sigma
+    }
+
+    /// The stack frame of the hierarchical state (summary `outer`, call
+    /// symbol `a`): its slot `outer·σ + a`.
+    pub(crate) fn frame(&self, outer: u32, a: Symbol) -> u32 {
+        self.offset(outer) + u32::from(a.0)
+    }
+
+    /// The (outer summary id, call symbol) a frame stands for.
+    pub(crate) fn split_frame(&self, frame: u32) -> (u32, Symbol) {
+        (frame / self.sigma, Symbol((frame % self.sigma) as u16))
+    }
+
+    /// Interns `summary` and returns its state offset.
     fn intern<A: SummarySemantics>(&mut self, automaton: &A, summary: Summary) -> u32 {
         let key = summary_key(&summary);
         if let Some(&id) = self.index.get(&key) {
-            return id;
+            return self.offset(id);
         }
-        let id = u32::try_from(self.summaries.len()).expect("summary cache overflow");
         let accepting = automaton.summary_accepting(&summary);
+        self.push(key, summary, accepting)
+    }
+
+    /// Appends a summary the index does not hold yet, with its underived
+    /// linear rows and hierarchical slots, and returns its state offset.
+    pub(crate) fn push(&mut self, key: Vec<u64>, summary: Summary, accepting: bool) -> u32 {
+        let sigma = self.sigma as usize;
+        assert!(
+            Self::fits(self.summaries.len() + 1, sigma),
+            "summary table overflows the u32 offset space"
+        );
+        let id = self.summaries.len() as u32;
         self.index.insert(key, id);
         self.summaries.push(InternedSummary { summary, accepting });
-        id
+        self.rows.resize(self.rows.len() + 3 * sigma, MISS);
+        self.hier.resize(self.hier.len() + sigma, 0);
+        if self.summaries.len() > self.block_rows as usize {
+            self.grow_blocks();
+        }
+        self.offset(id)
+    }
+
+    fn block_len(&self) -> usize {
+        self.block_rows as usize * self.sigma as usize
+    }
+
+    /// Whether one more block keeps `ret` within the byte cap.
+    fn block_fits(&self) -> bool {
+        ((self.ret.len() + self.block_len()) * std::mem::size_of::<u32>()) as u64
+            <= PRODUCT_TABLE_BYTE_CAP
+    }
+
+    /// Doubles the rows of every return block and re-places the blocks in
+    /// owner order. The blocks that no longer fit under the cap hand their
+    /// rows to the residual map and point back at the all-`MISS` block.
+    fn grow_blocks(&mut self) {
+        let old_len = self.block_len();
+        self.block_rows *= 2;
+        let miss_block = vec![MISS; self.block_len()];
+        let old = std::mem::replace(&mut self.ret, miss_block);
+        for (k, frame) in std::mem::take(&mut self.owners).into_iter().enumerate() {
+            let block = &old[(1 + k) * old_len..(2 + k) * old_len];
+            if self.block_fits() {
+                self.hier[frame as usize] = self.ret.len() as u32;
+                self.ret.extend_from_slice(block);
+                self.ret
+                    .resize(self.ret.len() + self.block_len() - old_len, MISS);
+                self.owners.push(frame);
+            } else {
+                self.hier[frame as usize] = 0;
+                let (outer, ca) = self.split_frame(frame);
+                for (inner, a, v) in block_entries(block, self.sigma) {
+                    self.matched.insert((outer, ca.0, inner, a), v);
+                }
+            }
+        }
+    }
+
+    /// Where the step of `event` from the configuration `(state, top, sp)`
+    /// is memoized.
+    pub(crate) fn row_of(&self, state: u32, top: u32, sp: usize, event: TaggedSymbol) -> Row {
+        let a = event.symbol().index() as u32;
+        match event {
+            TaggedSymbol::Return(_) if sp > 1 => Row::Matched {
+                frame: top,
+                inner: state,
+                a,
+            },
+            _ => Row::Linear(3 * state as usize + event.tagged_index(self.sigma as usize)),
+        }
+    }
+
+    /// The residual map's key of a matched-return row: ids and symbols.
+    fn residual_key(&self, frame: u32, inner: u32, a: u32) -> (u32, u16, u32, u16) {
+        let (outer, ca) = self.split_frame(frame);
+        (outer, ca.0, self.id(inner), a as u16)
+    }
+
+    /// The memoized successor's state offset, if derived.
+    pub(crate) fn get(&self, row: Row) -> Option<u32> {
+        let v = match row {
+            Row::Linear(i) => self.rows[i],
+            Row::Matched { frame, inner, a } => {
+                let v = self.ret[(self.hier[frame as usize] + inner + a) as usize];
+                if v == MISS {
+                    let key = self.residual_key(frame, inner, a);
+                    return self.matched.get(&key).map(|&id| self.offset(id));
+                }
+                v
+            }
+        };
+        (v != MISS).then_some(v)
+    }
+
+    /// Memoizes `next` (a state offset) at `row`, giving a matched return's
+    /// hierarchical state its block first if it has none and one fits.
+    pub(crate) fn set(&mut self, row: Row, next: u32) {
+        match row {
+            Row::Linear(i) => self.rows[i] = next,
+            Row::Matched { frame, inner, a } => {
+                if self.hier[frame as usize] == 0 && self.block_fits() {
+                    self.hier[frame as usize] = self.ret.len() as u32;
+                    self.ret.resize(self.ret.len() + self.block_len(), MISS);
+                    self.owners.push(frame);
+                }
+                match self.hier[frame as usize] {
+                    0 => {
+                        let key = self.residual_key(frame, inner, a);
+                        self.matched.insert(key, self.id(next));
+                    }
+                    base => self.ret[(base + inner + a) as usize] = next,
+                }
+            }
+        }
+    }
+
+    /// Every derived step as sorted relations over ids — what an artifact
+    /// saves and what equality compares, whatever the layout.
+    pub(crate) fn memo_rows(&self) -> MemoRows {
+        let sigma = self.sigma;
+        let mut bands: [Vec<(u32, u16, u32)>; 3] = Default::default();
+        for (i, &v) in self.rows.iter().enumerate() {
+            if v != MISS {
+                let i = i as u32;
+                bands[(i / sigma % 3) as usize].push((
+                    i / (3 * sigma),
+                    (i % sigma) as u16,
+                    v / sigma,
+                ));
+            }
+        }
+        let mut matched: Vec<_> = self
+            .matched
+            .iter()
+            .map(|(&(outer, ca, inner, a), &v)| (outer, ca, inner, a, v))
+            .collect();
+        for &frame in &self.owners {
+            let base = self.hier[frame as usize] as usize;
+            let (outer, ca) = self.split_frame(frame);
+            matched.extend(
+                block_entries(&self.ret[base..base + self.block_len()], sigma)
+                    .map(|(inner, a, v)| (outer, ca.0, inner, a, v)),
+            );
+        }
+        matched.sort_unstable();
+        let [call, internal, pending] = bands;
+        MemoRows {
+            call,
+            internal,
+            pending,
+            matched,
+        }
+    }
+
+    /// Bytes held by the rows, the return blocks and the residual map.
+    fn table_bytes(&self) -> usize {
+        (self.rows.len() + self.hier.len() + self.ret.len()) * std::mem::size_of::<u32>()
+            + self.matched.len() * std::mem::size_of::<((u32, u16, u32, u16), u32)>()
+    }
+
+    /// The slice kernel: steps `lane` through `events` on the dense rows
+    /// until the end or the first underived step, and returns how many
+    /// events it consumed. The lane is left at that event, untouched by it.
+    ///
+    /// The step mirrors [`CompiledNwa`]'s: the event kind is decoded with
+    /// comparisons, the cached stack top is spilled unconditionally, and
+    /// both candidate successors — the linear row entry and the return
+    /// block entry under the top frame — are loaded and one is selected,
+    /// so no branch depends on the event kind. The sentinel frame 0 below
+    /// the stack keeps the return-block load in range when the stack is
+    /// empty; a pending return selects the linear entry. Only a `MISS`
+    /// leaves the straight line: the residual map may still hold a matched
+    /// return, and otherwise the loop exits to the write-locked derivation.
+    fn run(&self, lane: &mut CompiledSummaryLane, events: &[TaggedSymbol]) -> usize {
+        let (rows, hier, ret) = (&self.rows[..], &self.hier[..], &self.ret[..]);
+        let sigma = self.sigma;
+        let mut state = lane.state;
+        let mut top = lane.top;
+        let mut sp = lane.sp as usize;
+        let mut max_sp = lane.max_sp as usize;
+        let spilled = &mut lane.spilled;
+        let mut done = 0;
+        for &event in events {
+            let a = event.symbol().index() as u32;
+            assert!(a < sigma, "event symbol outside the automaton's alphabet");
+            let is_int = u32::from(matches!(event, TaggedSymbol::Internal(_)));
+            let is_ret = u32::from(matches!(event, TaggedSymbol::Return(_)));
+            let kind = is_int + 2 * is_ret;
+            if sp + 1 >= spilled.len() {
+                spilled.resize(spilled.len() * 2, 0);
+            }
+            spilled[sp - 1] = top;
+            let linear = rows[(3 * state + kind * sigma + a) as usize];
+            let nested = ret[(hier[top as usize] + state + a) as usize];
+            let mut next = if (is_ret != 0) & (sp > 1) {
+                nested
+            } else {
+                linear
+            };
+            if next == MISS {
+                match self.get(self.row_of(state, top, sp, event)) {
+                    Some(v) => next = v,
+                    None => break,
+                }
+            }
+            let is_call = usize::from(kind == 0);
+            sp = (sp + is_call - is_ret as usize).max(1);
+            let refill = spilled[sp - 1];
+            top = [state + a, top, refill][kind as usize];
+            state = next;
+            max_sp = max_sp.max(sp);
+            done += 1;
+        }
+        lane.state = state;
+        lane.top = top;
+        lane.sp = sp as u32;
+        lane.max_sp = max_sp as u32;
+        lane.steps += done;
+        done
     }
 }
 
-/// The summary-set subset construction of §3.2 compiled on the fly: state
-/// sets are interned once, and every (summary, event) transition is derived
-/// from the nondeterministic relations at most once, then served from a
-/// hash cache. Streams with repeated event patterns — the common case for
-/// document queries — run almost entirely on precomputed rows.
+impl PartialEq for SummaryCache {
+    /// The same summaries under the same ids and the same derived steps,
+    /// wherever the layout placed them.
+    fn eq(&self, other: &Self) -> bool {
+        self.summaries == other.summaries && self.memo_rows() == other.memo_rows()
+    }
+}
+
+impl Eq for SummaryCache {}
+
+/// The summary-set subset construction of §3.2 compiled on the fly into a
+/// deterministic NWA: state sets are interned once, and every (summary,
+/// event) step is derived from the nondeterministic relations at most once,
+/// then served from dense `u32` rows indexed by the interned ids. Streams
+/// with repeated event patterns — the common case for document queries —
+/// run almost entirely on derived rows.
+///
+/// The rows use [`CompiledNwa`]'s layout: summary `id` is the state offset
+/// `id·σ`, an event decodes to the in-row offset `kind·σ + a`, and a
+/// hierarchical state (outer summary, call symbol) owns a block of return
+/// rows. The return blocks stay within [`PRODUCT_TABLE_BYTE_CAP`]; return
+/// rows past the cap live in a residual hash map. [`table_bytes`]
+/// reports the footprint.
 ///
 /// Generic over [`SummarySemantics`], so one engine serves both
 /// [`Nnwa`] (ordinary return relation) and [`JoinlessNwa`] (mode-split
-/// return relation). The cache is interior-mutable behind an [`RwLock`] and
+/// return relation). The table is interior-mutable behind an [`RwLock`] and
 /// shared by every run started from the same compiled artifact — warm-up
 /// amortizes across runs *and* across threads: the artifact is
 /// `Send + Sync` (asserted in the test suite), so one `Arc`'d engine can
-/// serve every worker of a decision service, with the steady state (cache
-/// hits) taking only the uncontended read lock.
+/// serve every worker of a decision service. A slice takes the read guard
+/// once and walks the rows in a register-resident loop; an underived row
+/// drops the guard, derives the step under the write lock and resumes at
+/// the same event.
 ///
 /// This is in effect determinization restricted to the reachable,
 /// actually-visited part of the `2^{s²}` summary-set automaton — the memory
-/// trade-off is the cache, which grows with the number of distinct
+/// trade-off is the table, which grows with the number of distinct
 /// summaries visited, not with the stream length.
+///
+/// [`table_bytes`]: CompiledSummary::table_bytes
 #[derive(Debug)]
 pub struct CompiledSummary<A: SummarySemantics> {
     pub(crate) automaton: A,
@@ -664,8 +1025,8 @@ pub struct CompiledSummary<A: SummarySemantics> {
 
 impl<A: SummarySemantics + PartialEq> PartialEq for CompiledSummary<A> {
     /// Structural equality over the automaton, the initial id *and* the
-    /// memoization cache — `load(save(a)) == a` asserts that the warmed
-    /// rows shipped with the artifact, not just the relations.
+    /// memo table's relations — `load(save(a)) == a` asserts that the
+    /// warmed rows shipped with the artifact, not just the automaton.
     fn eq(&self, other: &Self) -> bool {
         self.automaton == other.automaton
             && self.initial == other.initial
@@ -688,8 +1049,9 @@ impl<A: SummarySemantics + Clone> Clone for CompiledSummary<A> {
 impl<A: SummarySemantics> CompiledSummary<A> {
     /// Compiles the engine around (an owned copy of) the automaton.
     pub fn new(automaton: A) -> Self {
-        let mut cache = SummaryCache::default();
+        let mut cache = SummaryCache::new(automaton.sigma(), 1);
         let initial = cache.intern(&automaton, automaton.initial_summary());
+        let initial = cache.id(initial);
         CompiledSummary {
             automaton,
             initial,
@@ -704,7 +1066,15 @@ impl<A: SummarySemantics> CompiledSummary<A> {
         self.lock_read().summaries.len()
     }
 
-    fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
+    /// Bytes held by the memo table: the dense linear rows and
+    /// hierarchical slots, the return blocks (within
+    /// [`PRODUCT_TABLE_BYTE_CAP`] beside the shared all-miss block) and the
+    /// residual map's entries.
+    pub fn table_bytes(&self) -> usize {
+        self.lock_read().table_bytes()
+    }
+
+    pub(crate) fn lock_read(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
         self.cache.read().expect("summary cache lock poisoned")
     }
 
@@ -712,75 +1082,31 @@ impl<A: SummarySemantics> CompiledSummary<A> {
         self.cache.write().expect("summary cache lock poisoned")
     }
 
-    fn step_internal(&self, id: u32, a: Symbol) -> u32 {
-        // Steady state: one shared (uncontended-read) lock per event. Only
-        // a miss — once per distinct (summary, symbol) for the lifetime of
-        // the artifact — takes the write lock to derive and memoize.
-        if let Some(&hit) = self.lock_read().internal.get(&(id, a.0)) {
-            return hit;
-        }
+    /// The miss path: derives the step of `event` from `lane`'s
+    /// configuration under the write lock, unless another thread derived it
+    /// since this one dropped its read guard.
+    #[cold]
+    #[inline(never)]
+    fn derive(&self, lane: &CompiledSummaryLane, event: TaggedSymbol) {
         let mut cache = self.lock_write();
-        if let Some(&hit) = cache.internal.get(&(id, a.0)) {
-            return hit;
+        let row = cache.row_of(lane.state, lane.top, lane.sp as usize, event);
+        if cache.get(row).is_some() {
+            return;
         }
-        let next = self
-            .automaton
-            .summary_internal(&cache.summaries[id as usize].summary, a);
-        let next_id = cache.intern(&self.automaton, next);
-        cache.internal.insert((id, a.0), next_id);
-        next_id
-    }
-
-    fn step_call(&self, id: u32, a: Symbol) -> u32 {
-        if let Some(&hit) = self.lock_read().call.get(&(id, a.0)) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.call.get(&(id, a.0)) {
-            return hit;
-        }
-        let next = self
-            .automaton
-            .summary_call(&cache.summaries[id as usize].summary, a);
-        let next_id = cache.intern(&self.automaton, next);
-        cache.call.insert((id, a.0), next_id);
-        next_id
-    }
-
-    fn step_matched(&self, outer: u32, call_symbol: Symbol, inner: u32, a: Symbol) -> u32 {
-        let key = (outer, call_symbol.0, inner, a.0);
-        if let Some(&hit) = self.lock_read().matched.get(&key) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.matched.get(&key) {
-            return hit;
-        }
-        let next = self.automaton.summary_matched_return(
-            &cache.summaries[outer as usize].summary,
-            call_symbol,
-            &cache.summaries[inner as usize].summary,
-            a,
-        );
-        let next_id = cache.intern(&self.automaton, next);
-        cache.matched.insert(key, next_id);
-        next_id
-    }
-
-    fn step_pending(&self, id: u32, a: Symbol) -> u32 {
-        if let Some(&hit) = self.lock_read().pending.get(&(id, a.0)) {
-            return hit;
-        }
-        let mut cache = self.lock_write();
-        if let Some(&hit) = cache.pending.get(&(id, a.0)) {
-            return hit;
-        }
-        let next = self
-            .automaton
-            .summary_pending_return(&cache.summaries[id as usize].summary, a);
-        let next_id = cache.intern(&self.automaton, next);
-        cache.pending.insert((id, a.0), next_id);
-        next_id
+        let current = &cache.summaries[cache.id(lane.state) as usize].summary;
+        let a = event.symbol();
+        let next = match (row, event) {
+            (Row::Matched { frame, .. }, _) => {
+                let (outer, ca) = cache.split_frame(frame);
+                let outer = &cache.summaries[outer as usize].summary;
+                self.automaton.summary_matched_return(outer, ca, current, a)
+            }
+            (_, TaggedSymbol::Call(_)) => self.automaton.summary_call(current, a),
+            (_, TaggedSymbol::Internal(_)) => self.automaton.summary_internal(current, a),
+            (_, TaggedSymbol::Return(_)) => self.automaton.summary_pending_return(current, a),
+        };
+        let next = cache.intern(&self.automaton, next);
+        cache.set(row, next);
     }
 }
 
@@ -795,17 +1121,28 @@ impl<A: SummarySemantics> StreamAcceptor for CompiledSummary<A> {
     }
 }
 
-/// One stream's worth of run state for a [`CompiledSummary`] engine: the
-/// interned summary id plus the per-stream call stack, owned so N lanes
-/// share one engine (and its memoized rows) from any number of threads.
-/// Every configuration is one interned `u32` id and every step is a cache
-/// lookup (or, once per distinct transition, a derivation).
+/// One stream's worth of run state for a [`CompiledSummary`] engine, owned
+/// so N lanes share one engine (and its memo table) from any number of
+/// threads. It has [`CompiledNwaLane`]'s shape: the current summary as a
+/// state offset, a register-style cached stack top and the spilled stack.
+/// A stack frame is the hierarchical state `outer·σ + call symbol` — the
+/// (outer summary, call symbol) pair that snapshots carry.
 #[derive(Debug, Clone)]
 pub struct CompiledSummaryLane {
-    pub(crate) current: u32,
-    pub(crate) stack: Vec<(u32, Symbol)>,
-    pub(crate) max_stack: usize,
+    /// Current summary as a state offset `id·σ`.
+    pub(crate) state: u32,
+    /// Cached top frame; the sentinel 0 when the stack is empty.
+    pub(crate) top: u32,
+    /// Stack pointer into `spilled`; the live height is `sp - 1` because
+    /// `spilled[0]` is the sentinel.
+    pub(crate) sp: u32,
+    /// Peak `sp` observed.
+    pub(crate) max_sp: u32,
+    /// Events consumed.
     pub(crate) steps: usize,
+    /// The spilled stack; after a call the register `top` is authoritative
+    /// and its slot is stale.
+    pub(crate) spilled: Vec<u32>,
 }
 
 impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
@@ -813,48 +1150,67 @@ impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
 
     fn lane_start(&self) -> CompiledSummaryLane {
         CompiledSummaryLane {
-            current: self.initial,
-            stack: Vec::new(),
-            max_stack: 0,
+            state: self.lock_read().offset(self.initial),
+            top: 0,
+            sp: 1,
+            max_sp: 1,
             steps: 0,
+            spilled: vec![0; 64],
         }
     }
 
+    /// The slice kernel on one event (see `lane_step_slice`).
     #[inline]
     fn lane_step(&self, lane: &mut CompiledSummaryLane, event: TaggedSymbol) {
-        lane.steps += 1;
-        let a = event.symbol();
-        match event.kind() {
-            PositionKind::Internal => {
-                lane.current = self.step_internal(lane.current, a);
-            }
-            PositionKind::Call => {
-                let linear = self.step_call(lane.current, a);
-                lane.stack.push((lane.current, a));
-                lane.max_stack = lane.max_stack.max(lane.stack.len());
-                lane.current = linear;
-            }
-            PositionKind::Return => match lane.stack.pop() {
-                Some((outer, call_symbol)) => {
-                    lane.current = self.step_matched(outer, call_symbol, lane.current, a);
+        while self.lock_read().run(lane, std::slice::from_ref(&event)) == 0 {
+            self.derive(lane, event);
+        }
+    }
+
+    /// Takes the read guard once per slice (of at most 4096 events) and
+    /// runs the dense kernel. On an underived step the guard is dropped —
+    /// never re-entered while held, since a std `RwLock` may deadlock on a
+    /// re-entrant read while a writer waits — the step is derived under the
+    /// write lock, and the kernel resumes at the same event under a fresh
+    /// guard.
+    fn lane_step_slice(&self, lane: &mut CompiledSummaryLane, events: &[TaggedSymbol]) {
+        for chunk in events.chunks(GUARD_EVENTS) {
+            let mut done = 0;
+            while done < chunk.len() {
+                // The guard is a temporary, released before `derive` locks.
+                done += self.lock_read().run(lane, &chunk[done..]);
+                if let Some(&event) = chunk.get(done) {
+                    self.derive(lane, event);
                 }
-                None => {
-                    lane.current = self.step_pending(lane.current, a);
-                }
-            },
+            }
         }
     }
 
     fn lane_height(&self, lane: &CompiledSummaryLane) -> usize {
-        lane.stack.len()
+        lane.sp as usize - 1
     }
 
     fn lane_outcome(&self, lane: &CompiledSummaryLane) -> StreamOutcome {
+        let cache = self.lock_read();
         StreamOutcome {
-            accepted: self.lock_read().summaries[lane.current as usize].accepting,
+            accepted: cache.summaries[cache.id(lane.state) as usize].accepting,
             events: lane.steps,
-            peak_memory: lane.max_stack,
+            peak_memory: (lane.max_sp - 1) as usize,
         }
+    }
+
+    /// Runs each stream back to back through the slice kernel, like
+    /// [`CompiledNwa::run_batch`](BatchAcceptor::run_batch): the generic
+    /// lockstep would take the guard once per event.
+    fn run_batch(&self, streams: &[&[TaggedSymbol]]) -> Vec<StreamOutcome> {
+        streams
+            .iter()
+            .map(|stream| {
+                let mut lane = self.lane_start();
+                self.lane_step_slice(&mut lane, stream);
+                self.lane_outcome(&lane)
+            })
+            .collect()
     }
 }
 
@@ -881,8 +1237,9 @@ impl Compile for JoinlessNwa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata_core::{query, StreamRun};
+    use automata_core::{query, Persist, StreamRun};
     use nested_words::generate::{random_nested_word, NestedWordConfig};
+    use nested_words::rng::Prng;
     use nested_words::tagged::parse_nested_word;
     use nested_words::{Alphabet, NestedWord};
 
@@ -960,16 +1317,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compiled_summary_caches_rows_across_runs() {
-        let mut ab = Alphabet::ab();
-        // Nondeterministic "some matched b-block" automaton.
-        let a = Symbol(0);
-        let b = Symbol(1);
+    /// Nondeterministic "some matched `marked` pair" automaton over
+    /// `{a, b}`: it guesses which `marked` call to follow on its
+    /// hierarchical edge, a genuine join.
+    fn some_matched_pair_nnwa(marked: Symbol) -> Nnwa {
         let mut n = Nnwa::new(3, 2);
         n.add_initial(0);
         n.add_accepting(2);
-        for sym in [a, b] {
+        for sym in [Symbol(0), Symbol(1)] {
             n.add_internal(0, sym, 0);
             n.add_internal(2, sym, 2);
             n.add_call(0, sym, 0, 0);
@@ -979,8 +1334,15 @@ mod tests {
                 n.add_return(2, h, sym, 2);
             }
         }
-        n.add_call(0, b, 0, 1);
-        n.add_return(0, 1, b, 2);
+        n.add_call(0, marked, 0, 1);
+        n.add_return(0, 1, marked, 2);
+        n
+    }
+
+    #[test]
+    fn compiled_summary_caches_rows_across_runs() {
+        let mut ab = Alphabet::ab();
+        let n = some_matched_pair_nnwa(Symbol(1));
 
         let c = n.compile();
         let w = parse(&mut ab, "<b a b> <a <b b> a>");
@@ -1021,26 +1383,7 @@ mod tests {
     #[test]
     fn one_summary_engine_shared_across_threads() {
         let mut ab = Alphabet::ab();
-        let n = {
-            let a = Symbol(0);
-            let b = Symbol(1);
-            let mut n = Nnwa::new(3, 2);
-            n.add_initial(0);
-            n.add_accepting(2);
-            for sym in [a, b] {
-                n.add_internal(0, sym, 0);
-                n.add_internal(2, sym, 2);
-                n.add_call(0, sym, 0, 0);
-                n.add_call(2, sym, 2, 0);
-                for h in [0usize, 1] {
-                    n.add_return(0, h, sym, 0);
-                    n.add_return(2, h, sym, 2);
-                }
-            }
-            n.add_call(0, b, 0, 1);
-            n.add_return(0, 1, b, 2);
-            n
-        };
+        let n = some_matched_pair_nnwa(Symbol(1));
         let c = std::sync::Arc::new(n.compile());
         let words: Vec<_> = ["<b a b>", "<a <b b> a>", "b>", "<b", "a a"]
             .iter()
@@ -1062,6 +1405,259 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), expected);
         }
+    }
+
+    /// A *cold* engine fed by `lane_step_slice` from four threads at once:
+    /// every thread misses, drops its read guard and derives under the
+    /// write lock while the others read, and every verdict still matches
+    /// the interpreted automaton. Afterwards the one shared table answers
+    /// every word without deriving anything.
+    #[test]
+    fn cold_summary_engine_sliced_from_four_threads() {
+        let ab = Alphabet::with_size(3);
+        let n = random_nnwa(4, 3, 14, 5);
+        let cfg = NestedWordConfig {
+            len: 300,
+            allow_pending: true,
+            ..Default::default()
+        };
+        let words: Vec<NestedWord> = (0..12u64)
+            .map(|seed| random_nested_word(&ab, cfg, seed))
+            .collect();
+        let expected: Vec<bool> = words.iter().map(|w| n.accepts(w)).collect();
+        let c = std::sync::Arc::new(n.compile());
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let c = std::sync::Arc::clone(&c);
+                let words = words.clone();
+                std::thread::spawn(move || {
+                    let mut rng = Prng::new(t);
+                    words
+                        .iter()
+                        .map(|w| {
+                            let events = w.to_tagged();
+                            let mut lane = c.lane_start();
+                            let mut at = 0;
+                            while at < events.len() {
+                                let end = (at + 1 + rng.below(40)).min(events.len());
+                                c.lane_step_slice(&mut lane, &events[at..end]);
+                                at = end;
+                            }
+                            c.lane_outcome(&lane).accepted
+                        })
+                        .collect::<Vec<bool>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), expected);
+        }
+        let rows = c.lock_read().memo_rows();
+        for w in &words {
+            c.run_batch(&[&w.to_tagged()]);
+        }
+        assert_eq!(
+            c.lock_read().memo_rows(),
+            rows,
+            "a warm engine derives nothing"
+        );
+    }
+
+    /// A random nondeterministic NWA with `transitions` random edges and
+    /// one initial and one accepting state.
+    fn random_nnwa(states: usize, sigma: usize, transitions: usize, seed: u64) -> Nnwa {
+        let mut rng = Prng::new(seed);
+        let mut n = Nnwa::new(states, sigma);
+        n.add_initial(rng.below(states));
+        n.add_accepting(rng.below(states));
+        for _ in 0..transitions {
+            let a = Symbol(rng.below(sigma) as u16);
+            let (q, r, h) = (rng.below(states), rng.below(states), rng.below(states));
+            match rng.below(3) {
+                0 => n.add_internal(q, a, r),
+                1 => n.add_call(q, a, r, h),
+                _ => n.add_return(q, h, a, r),
+            }
+        }
+        n
+    }
+
+    /// A random complete deterministic NWA.
+    fn random_nwa(states: usize, sigma: usize, seed: u64) -> Nwa {
+        let mut rng = Prng::new(seed);
+        let mut m = Nwa::new(states, sigma, 0);
+        for q in 0..states {
+            m.set_accepting(q, rng.bool(0.5));
+            for a in 0..sigma {
+                let a = Symbol(a as u16);
+                m.set_internal(q, a, rng.below(states));
+                m.set_call(q, a, rng.below(states), rng.below(states));
+                for h in 0..states {
+                    m.set_return(q, h, a, rng.below(states));
+                }
+            }
+        }
+        m
+    }
+
+    /// Bytes of the return-block region.
+    fn return_block_bytes<A: SummarySemantics>(c: &CompiledSummary<A>) -> usize {
+        c.lock_read().ret.len() * std::mem::size_of::<u32>()
+    }
+
+    /// A deterministic NWA read as an `Nnwa` visits up to `states²`
+    /// singleton summaries, so over a long, deep stream the return blocks
+    /// outgrow [`PRODUCT_TABLE_BYTE_CAP`]: growing them evicts blocks, and
+    /// later hierarchical states get none. The residual map must then carry
+    /// those rows, and the verdict must stay exact at every prefix.
+    #[test]
+    fn summary_rows_past_the_cap_take_the_residual_path() {
+        let m = random_nwa(24, 8, 3);
+        let n = Nnwa::from_deterministic(&m);
+        let c = n.compile();
+        let ab = Alphabet::with_size(8);
+        let cfg = NestedWordConfig {
+            len: 6000,
+            call_prob: 0.45,
+            return_prob: 0.35,
+            allow_pending: true,
+            max_depth: 40,
+        };
+        let mut rng = Prng::new(9);
+        let words: Vec<NestedWord> = (0..6u64)
+            .map(|seed| random_nested_word(&ab, cfg, seed))
+            .collect();
+        for (seed, w) in words.iter().enumerate() {
+            let events = w.to_tagged();
+            // The compiled run, in random slices, against the interpreted
+            // deterministic run stepped event by event.
+            let mut lane = c.lane_start();
+            let mut reference = m.start();
+            let mut at = 0;
+            while at < events.len() {
+                let end = (at + 1 + rng.below(64)).min(events.len());
+                c.lane_step_slice(&mut lane, &events[at..end]);
+                for &e in &events[at..end] {
+                    reference.step(e);
+                }
+                at = end;
+                let outcome = c.lane_outcome(&lane);
+                assert_eq!(
+                    outcome.accepted,
+                    reference.is_accepting(),
+                    "seed {seed} prefix {at}"
+                );
+                assert_eq!(
+                    outcome.peak_memory,
+                    reference.peak_memory(),
+                    "seed {seed} prefix {at}"
+                );
+            }
+            assert_eq!(c.lane_outcome(&lane).accepted, n.accepts(w), "seed {seed}");
+        }
+        let residual = c.lock_read().matched.len();
+        assert!(residual > 0, "the stream never outgrew the cap");
+        assert!(return_block_bytes(&c) as u64 <= PRODUCT_TABLE_BYTE_CAP);
+        let cache = c.lock_read();
+        let dense = (cache.rows.len() + cache.hier.len()) * 4;
+        drop(cache);
+        assert!(
+            c.table_bytes() as u64 <= dense as u64 + PRODUCT_TABLE_BYTE_CAP + 24 * residual as u64
+        );
+        // The residual rows ship with the artifact and replay exactly.
+        let back = CompiledSummary::<Nnwa>::load(&c.save()).unwrap();
+        assert_eq!(back, c);
+        let streams: Vec<Vec<TaggedSymbol>> = words.iter().map(NestedWord::to_tagged).collect();
+        let streams: Vec<&[TaggedSymbol]> = streams.iter().map(Vec::as_slice).collect();
+        assert_eq!(back.run_batch(&streams), c.run_batch(&streams));
+    }
+
+    /// An empty stack's sentinel frame 0 is also the hierarchical state
+    /// (initial summary, symbol 0): a pending return must take the linear
+    /// pending row, never that slot's return block.
+    #[test]
+    fn pending_returns_ignore_the_sentinel_frame() {
+        let mut ab = Alphabet::ab();
+        let c = some_matched_pair_nnwa(Symbol(0)).compile();
+        // Gives (initial summary, a) a block holding an accepting row.
+        assert!(query::contains_stream(
+            &c,
+            parse(&mut ab, "<a a>").to_tagged()
+        ));
+        assert!(!query::contains_stream(
+            &c,
+            parse(&mut ab, "a>").to_tagged()
+        ));
+        assert!(!query::contains_stream(
+            &c,
+            parse(&mut ab, "b a> a>").to_tagged()
+        ));
+    }
+
+    /// The memo only ever grows: re-placing the return blocks as the
+    /// summary count doubles keeps every derived row at its value, so a
+    /// replay of the earlier streams derives nothing.
+    #[test]
+    fn growing_the_return_blocks_keeps_every_derived_row() {
+        let c = Nnwa::from_deterministic(&random_nwa(8, 3, 1)).compile();
+        let ab = Alphabet::with_size(3);
+        // Short streams first, so the summary count doubles between them.
+        let streams: Vec<Vec<TaggedSymbol>> = (0..16u64)
+            .map(|seed| {
+                let cfg = NestedWordConfig {
+                    len: 10 << (seed / 3),
+                    call_prob: 0.45,
+                    return_prob: 0.35,
+                    allow_pending: true,
+                    max_depth: 20,
+                };
+                random_nested_word(&ab, cfg, seed).to_tagged()
+            })
+            .collect();
+        let mut grown = 0;
+        for stream in &streams {
+            let before = c.lock_read().memo_rows();
+            let block_rows = c.lock_read().block_rows;
+            c.run_batch(&[stream]);
+            let after = c.lock_read().memo_rows();
+            grown += usize::from(c.lock_read().block_rows > block_rows);
+            let kept = |old: &[(u32, u16, u32)], new: &[(u32, u16, u32)]| {
+                old.iter().all(|row| new.binary_search(row).is_ok())
+            };
+            assert!(kept(&before.call, &after.call));
+            assert!(kept(&before.internal, &after.internal));
+            assert!(kept(&before.pending, &after.pending));
+            assert!(before
+                .matched
+                .iter()
+                .all(|row| after.matched.binary_search(row).is_ok()));
+        }
+        assert!(grown >= 2, "the blocks never grew");
+        let cache = c.lock_read();
+        assert!(!cache.owners.is_empty(), "no return block was placed");
+        let rows = cache.memo_rows();
+        drop(cache);
+        c.run_batch(&streams.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        assert_eq!(c.lock_read().memo_rows(), rows);
+    }
+
+    #[test]
+    fn summary_table_bytes_counts_rows_blocks_and_residual() {
+        let mut ab = Alphabet::ab();
+        let c = some_matched_pair_nnwa(Symbol(1)).compile();
+        // One summary: 3σ linear entries, σ slots and a σ-entry miss block.
+        assert_eq!(c.table_bytes(), (6 + 2 + 2) * 4);
+        let w = parse(&mut ab, "<b a b> <a <b b> a>");
+        assert!(query::contains_stream(&c, w.to_tagged()));
+        let cache = c.lock_read();
+        let (count, blocks) = (cache.summaries.len(), cache.owners.len());
+        let block_rows = cache.block_rows as usize;
+        assert!(blocks > 0 && count <= block_rows && cache.matched.is_empty());
+        drop(cache);
+        assert_eq!(
+            c.table_bytes(),
+            (count * (6 + 2) + (1 + blocks) * block_rows * 2) * 4
+        );
     }
 
     #[test]

@@ -500,6 +500,9 @@ impl SummarySemantics for JoinlessNwa {
     fn summary_accepting(&self, s: &Summary) -> bool {
         s.iter().any(|&(_, q)| self.accepting.contains(&q))
     }
+    fn sigma(&self) -> usize {
+        JoinlessNwa::sigma(self)
+    }
 }
 
 /// Theorem 7: converts a nondeterministic NWA into a nondeterministic

@@ -432,6 +432,9 @@ impl SummarySemantics for Nnwa {
     fn summary_accepting(&self, s: &Summary) -> bool {
         s.iter().any(|&(_, q)| self.accepting.contains(&q))
     }
+    fn sigma(&self) -> usize {
+        Nnwa::sigma(self)
+    }
 }
 
 #[cfg(test)]

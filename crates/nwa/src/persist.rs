@@ -6,13 +6,16 @@
 //!   (linear states must be in-range row offsets, pushed values must be
 //!   return-block bases) so that a successfully loaded artifact can never
 //!   index out of its own tables.
-//! * [`CompiledSummary`] persists the automaton *and* its memoization cache:
-//!   the interned summary universe in id order plus every memoized
-//!   transition row, so a warmed engine ships warm (`load(save(a)) == a`
-//!   compares the cache too). Ids are range-checked on load; the rows
-//!   themselves are trusted content guarded by the payload checksum —
-//!   re-deriving them would be re-compiling, which is exactly what loading
-//!   exists to avoid.
+//! * [`CompiledSummary`] persists the automaton *and* its memo table: the
+//!   interned summary universe in id order plus every derived step as a
+//!   sorted `(summary, symbol, summary)` or `(outer, call symbol, inner,
+//!   symbol, summary)` row, so a warmed engine ships warm (`load(save(a))
+//!   == a` compares the memo relations too). The bytes name ids, never
+//!   table offsets, so they do not depend on where the dense table placed
+//!   a row. Ids are range-checked and duplicate rows refused on load, which
+//!   then rebuilds the dense table; the rows themselves are trusted content
+//!   guarded by the payload checksum — re-deriving them would be
+//!   re-compiling, which is exactly what loading exists to avoid.
 //!
 //! Snapshots of the dense engine are self-contained (state row offset plus
 //! a stack of return-block bases, `check = 0`); snapshots of the subset
@@ -24,8 +27,8 @@
 //! from the wrong summary.
 
 use crate::compile::{
-    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
-    InternedSummary, SummaryCache,
+    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane, Row,
+    SummaryCache,
 };
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
@@ -35,7 +38,7 @@ use automata_core::persist::{
     fnv1a_words, kind, Reader, Writer,
 };
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
-use nested_words::Symbol;
+use nested_words::{Symbol, TaggedSymbol};
 use std::sync::RwLock;
 
 // --------------------------------------------------------------------------
@@ -301,18 +304,16 @@ impl Suspend for CompiledNwa {
 // --------------------------------------------------------------------------
 
 /// A [`SummarySemantics`] whose automaton can ride inside a
-/// [`CompiledSummary`] payload: a kind code, the alphabet size for header
-/// validation, and an encode/decode pair for the nondeterministic relations.
+/// [`CompiledSummary`] payload: a kind code, the state count for range
+/// checks, and an encode/decode pair for the nondeterministic relations.
+/// The alphabet size ([`SummarySemantics::sigma`]) bounds decoded symbols
+/// and is what the header's alphabet fingerprint hashes.
 pub trait PersistableSemantics: SummarySemantics + PartialEq + Sized {
     /// The artifact kind code of `CompiledSummary<Self>`.
     const KIND: u16;
 
     /// Number of states — the range bound for decoded summary pairs.
     fn num_states(&self) -> usize;
-
-    /// Alphabet size — the range bound for decoded symbols, and what the
-    /// header's alphabet fingerprint hashes.
-    fn sigma(&self) -> usize;
 
     /// Appends the automaton's relations to a payload.
     fn encode(&self, w: &mut Writer);
@@ -381,10 +382,6 @@ impl PersistableSemantics for Nnwa {
 
     fn num_states(&self) -> usize {
         Nnwa::num_states(self)
-    }
-
-    fn sigma(&self) -> usize {
-        Nnwa::sigma(self)
     }
 
     fn encode(&self, w: &mut Writer) {
@@ -497,10 +494,6 @@ impl PersistableSemantics for JoinlessNwa {
         JoinlessNwa::num_states(self)
     }
 
-    fn sigma(&self) -> usize {
-        JoinlessNwa::sigma(self)
-    }
-
     fn encode(&self, w: &mut Writer) {
         let n = JoinlessNwa::num_states(self);
         w.put_u64(n as u64);
@@ -607,32 +600,13 @@ impl PersistableSemantics for JoinlessNwa {
     }
 }
 
-/// Emits a 2-key memo map sorted by key (deterministic bytes).
-fn put_map2(w: &mut Writer, map: &std::collections::HashMap<(u32, u16), u32>) {
-    let mut entries: Vec<(u32, u16, u32)> = map.iter().map(|(&(q, a), &v)| (q, a, v)).collect();
-    entries.sort_unstable();
-    w.put_u64(entries.len() as u64);
-    for (q, a, v) in entries {
-        w.put_u32(q);
-        w.put_u32(u32::from(a));
-        w.put_u32(v);
-    }
-}
-
-/// Emits the 4-key matched-return memo map sorted by key.
-fn put_map4(w: &mut Writer, map: &std::collections::HashMap<(u32, u16, u32, u16), u32>) {
-    let mut entries: Vec<(u32, u16, u32, u16, u32)> = map
-        .iter()
-        .map(|(&(outer, ca, inner, a), &v)| (outer, ca, inner, a, v))
-        .collect();
-    entries.sort_unstable();
-    w.put_u64(entries.len() as u64);
-    for (outer, ca, inner, a, v) in entries {
-        w.put_u32(outer);
-        w.put_u32(u32::from(ca));
-        w.put_u32(inner);
-        w.put_u32(u32::from(a));
-        w.put_u32(v);
+/// Emits one relation of memo rows, already sorted by key.
+fn put_rows<const N: usize>(w: &mut Writer, rows: impl ExactSizeIterator<Item = [u32; N]>) {
+    w.put_u64(rows.len() as u64);
+    for row in rows {
+        for word in row {
+            w.put_u32(word);
+        }
     }
 }
 
@@ -647,67 +621,71 @@ fn decode_id(v: u32, count: usize) -> Result<u32, PersistError> {
     }
 }
 
-fn get_map2(
+/// Memoizes one decoded row, refusing a row the table already holds.
+fn insert_row(cache: &mut SummaryCache, row: Row, id: u32) -> Result<(), PersistError> {
+    if cache.get(row).is_some() {
+        return Err(PersistError::Malformed {
+            context: "duplicate memo row",
+        });
+    }
+    let next = cache.offset(id);
+    cache.set(row, next);
+    Ok(())
+}
+
+/// Decodes one linear band of `(summary, symbol, summary)` rows into the
+/// table: the steps by `event(symbol)` on an empty stack.
+fn get_linear_rows(
     r: &mut Reader<'_>,
-    count: usize,
+    cache: &mut SummaryCache,
+    event: fn(Symbol) -> TaggedSymbol,
     sigma: usize,
-) -> Result<std::collections::HashMap<(u32, u16), u32>, PersistError> {
+) -> Result<(), PersistError> {
+    let count = cache.summaries.len();
     // Rows are (summary, symbol, summary): three u32s.
     let len = r.get_count(3 * 4)?;
-    let mut map = std::collections::HashMap::with_capacity(len);
     for _ in 0..len {
         let q = decode_id(r.get_u32()?, count)?;
         let a = decode_symbol(r.get_u32()?, sigma)?;
         let v = decode_id(r.get_u32()?, count)?;
-        if map.insert((q, a.0), v).is_some() {
-            return Err(PersistError::Malformed {
-                context: "duplicate memo row",
-            });
-        }
+        let row = cache.row_of(cache.offset(q), 0, 1, event(a));
+        insert_row(cache, row, v)?;
     }
-    Ok(map)
+    Ok(())
 }
 
-/// The matched-return memo rows: `(outer, call symbol, inner, symbol) →
-/// summary id`, the four-key analogue of [`get_map2`]'s layout.
-type Map4 = std::collections::HashMap<(u32, u16, u32, u16), u32>;
-
-fn get_map4(r: &mut Reader<'_>, count: usize, sigma: usize) -> Result<Map4, PersistError> {
+/// Decodes the `(outer, call symbol, inner, symbol, summary)` matched-return
+/// rows into the table.
+fn get_matched_rows(
+    r: &mut Reader<'_>,
+    cache: &mut SummaryCache,
+    sigma: usize,
+) -> Result<(), PersistError> {
+    let count = cache.summaries.len();
     // Rows are (outer, call symbol, inner, symbol, summary): five u32s.
     let len = r.get_count(5 * 4)?;
-    let mut map = std::collections::HashMap::with_capacity(len);
     for _ in 0..len {
         let outer = decode_id(r.get_u32()?, count)?;
         let ca = decode_symbol(r.get_u32()?, sigma)?;
         let inner = decode_id(r.get_u32()?, count)?;
         let a = decode_symbol(r.get_u32()?, sigma)?;
         let v = decode_id(r.get_u32()?, count)?;
-        if map.insert((outer, ca.0, inner, a.0), v).is_some() {
-            return Err(PersistError::Malformed {
-                context: "duplicate memo row",
-            });
-        }
+        let frame = cache.frame(outer, ca);
+        let row = cache.row_of(cache.offset(inner), frame, 2, TaggedSymbol::Return(a));
+        insert_row(cache, row, v)?;
     }
-    Ok(map)
+    Ok(())
 }
 
 impl<A: PersistableSemantics> CompiledSummary<A> {
-    fn read_cache(&self) -> std::sync::RwLockReadGuard<'_, SummaryCache> {
-        self.cache.read().expect("summary cache lock poisoned")
-    }
-
     /// The integrity word of a subset-engine snapshot: a content hash of
     /// the summaries it references (current first, then each stack frame's
     /// outer summary, bottom to top). Interned ids are only meaningful
     /// relative to one intern order; this is how resumption detects a
     /// same-automaton artifact with a different warm-up history.
-    fn snapshot_check<'i>(
-        cache: &SummaryCache,
-        current: u32,
-        outers: impl Iterator<Item = &'i (u32, Symbol)>,
-    ) -> u64 {
+    fn snapshot_check(cache: &SummaryCache, ids: impl Iterator<Item = u32>) -> u64 {
         let mut words = Vec::new();
-        for id in std::iter::once(current).chain(outers.map(|&(outer, _)| outer)) {
+        for id in ids {
             let key = summary_key(&cache.summaries[id as usize].summary);
             words.push(key.len() as u64);
             words.extend(key);
@@ -720,7 +698,7 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
     const KIND: u16 = A::KIND;
 
     fn save(&self) -> Vec<u8> {
-        let cache = self.read_cache();
+        let cache = self.lock_read();
         let mut w = Writer::new();
         self.automaton.encode(&mut w);
         w.put_u32(self.initial);
@@ -737,17 +715,24 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
                 .collect();
             w.put_u32_slice(&pairs);
         }
-        put_map2(&mut w, &cache.internal);
-        put_map2(&mut w, &cache.call);
-        put_map2(&mut w, &cache.pending);
-        put_map4(&mut w, &cache.matched);
+        let memo = cache.memo_rows();
+        for band in [&memo.internal, &memo.call, &memo.pending] {
+            put_rows(&mut w, band.iter().map(|&(q, a, v)| [q, u32::from(a), v]));
+        }
+        put_rows(
+            &mut w,
+            memo.matched
+                .iter()
+                .map(|&(outer, ca, inner, a, v)| [outer, u32::from(ca), inner, u32::from(a), v]),
+        );
         w.seal(Self::KIND, self.alphabet_fingerprint())
     }
 
     fn load(bytes: &[u8]) -> Result<Self, PersistError> {
         let (alphabet, mut r) = Reader::open(bytes, Self::KIND)?;
         let automaton = A::decode(&mut r)?;
-        expect_alphabet(alphabet, automaton.sigma())?;
+        let sigma = automaton.sigma();
+        expect_alphabet(alphabet, sigma)?;
         let n = automaton.num_states();
         let initial = r.get_u32()?;
         let count = decode_count(r.get_u64()?, "summary count overflows")?;
@@ -757,8 +742,13 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
                 context: "summary flag array length disagrees with the summary count",
             });
         }
-        let mut cache = SummaryCache::default();
-        for (i, &flag) in accepting.iter().enumerate() {
+        if !SummaryCache::fits(count, sigma) {
+            return Err(PersistError::Malformed {
+                context: "summary table exceeds the u32 offset space",
+            });
+        }
+        let mut cache = SummaryCache::new(sigma, count);
+        for &flag in &accepting {
             let words = r.get_u32_vec()?;
             if words.len() % 2 != 0 {
                 return Err(PersistError::Malformed {
@@ -774,30 +764,28 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
                     context: "duplicate pair inside an interned summary",
                 });
             }
-            if cache
-                .index
-                .insert(summary_key(&summary), i as u32)
-                .is_some()
-            {
+            let key = summary_key(&summary);
+            if cache.index.contains_key(&key) {
                 return Err(PersistError::Malformed {
                     context: "the same summary interned twice",
                 });
             }
-            cache.summaries.push(InternedSummary {
-                summary,
-                accepting: flag,
-            });
+            cache.push(key, summary, flag);
         }
         if count == 0 || initial as usize >= count {
             return Err(PersistError::Malformed {
                 context: "initial summary out of range",
             });
         }
-        let sigma = automaton.sigma();
-        cache.internal = get_map2(&mut r, count, sigma)?;
-        cache.call = get_map2(&mut r, count, sigma)?;
-        cache.pending = get_map2(&mut r, count, sigma)?;
-        cache.matched = get_map4(&mut r, count, sigma)?;
+        // The bands in save order: internal, call, pending, then matched.
+        for event in [
+            TaggedSymbol::Internal,
+            TaggedSymbol::Call,
+            TaggedSymbol::Return,
+        ] {
+            get_linear_rows(&mut r, &mut cache, event, sigma)?;
+        }
+        get_matched_rows(&mut r, &mut cache, sigma)?;
         r.finish()?;
         Ok(CompiledSummary {
             automaton,
@@ -822,20 +810,33 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
 }
 
 impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
+    /// The snapshot holds ids, not offsets: the current summary, and the
+    /// stack as `(outer summary, call symbol)` pairs.
     fn suspend_lane(&self, lane: &CompiledSummaryLane) -> Snapshot {
-        let cache = self.read_cache();
-        let mut stack = Vec::with_capacity(lane.stack.len() * 2);
-        for &(outer, sym) in &lane.stack {
-            stack.push(outer);
-            stack.push(u32::from(sym.0));
+        let cache = self.lock_read();
+        // The logical stack is spilled[1..sp], with the register `top`
+        // authoritative for its last slot (as for the dense engine).
+        let mut frames = lane.spilled[1..lane.sp as usize].to_vec();
+        if let Some(top_slot) = frames.last_mut() {
+            *top_slot = lane.top;
         }
+        let current = cache.id(lane.state);
         Snapshot {
             fingerprint: self.fingerprint(),
-            state: lane.current,
-            stack,
-            peak: lane.max_stack as u32,
+            state: current,
+            stack: frames
+                .iter()
+                .flat_map(|&f| {
+                    let (outer, a) = cache.split_frame(f);
+                    [outer, u32::from(a.0)]
+                })
+                .collect(),
+            peak: lane.max_sp - 1,
             steps: lane.steps as u64,
-            check: Self::snapshot_check(&cache, lane.current, lane.stack.iter()),
+            check: Self::snapshot_check(
+                &cache,
+                std::iter::once(current).chain(frames.iter().map(|&f| cache.id(f))),
+            ),
         }
     }
 
@@ -854,34 +855,52 @@ impl<A: PersistableSemantics> Suspend for CompiledSummary<A> {
                 context: "subset-engine snapshot stack must hold (summary, symbol) pairs",
             });
         }
-        let cache = self.read_cache();
+        let cache = self.lock_read();
         let count = cache.summaries.len();
-        let current = decode_id(snapshot.state, count).map_err(|_| PersistError::Malformed {
+        let unknown = |_| PersistError::Malformed {
             context: "snapshot references a summary this artifact has not interned",
-        })?;
+        };
+        let current = decode_id(snapshot.state, count).map_err(unknown)?;
         let sigma = self.automaton.sigma();
-        let mut stack = Vec::with_capacity(snapshot.stack.len() / 2);
+        let mut outers = Vec::with_capacity(snapshot.stack.len() / 2);
+        // spilled[0] is the sentinel frame under the stack.
+        let mut spilled = Vec::with_capacity(snapshot.stack.len() / 2 + 1);
+        spilled.push(0);
         for frame in snapshot.stack.chunks_exact(2) {
-            let outer = decode_id(frame[0], count).map_err(|_| PersistError::Malformed {
-                context: "snapshot references a summary this artifact has not interned",
-            })?;
-            stack.push((outer, decode_symbol(frame[1], sigma)?));
+            let outer = decode_id(frame[0], count).map_err(unknown)?;
+            let symbol = decode_symbol(frame[1], sigma)?;
+            outers.push(outer);
+            spilled.push(cache.frame(outer, symbol));
         }
-        if (snapshot.peak as usize) < stack.len() {
+        let height = outers.len();
+        if (snapshot.peak as usize) < height {
             return Err(PersistError::Malformed {
                 context: "snapshot peak below its stack height",
             });
         }
-        if Self::snapshot_check(&cache, current, stack.iter()) != snapshot.check {
+        if Self::snapshot_check(&cache, std::iter::once(current).chain(outers)) != snapshot.check {
             return Err(PersistError::Malformed {
                 context: "snapshot summary ids do not match this artifact's intern order",
             });
         }
+        let top = spilled[height];
+        if spilled.len() < 64 {
+            spilled.resize(64, 0);
+        }
         Ok(CompiledSummaryLane {
-            current,
-            stack,
-            max_stack: snapshot.peak as usize,
+            state: cache.offset(current),
+            top,
+            sp: u32::try_from(height + 1).map_err(|_| PersistError::Malformed {
+                context: "snapshot stack too deep for a lane",
+            })?,
+            max_sp: snapshot
+                .peak
+                .checked_add(1)
+                .ok_or(PersistError::Malformed {
+                    context: "snapshot peak overflows",
+                })?,
             steps: decode_steps(snapshot.steps)?,
+            spilled,
         })
     }
 }
@@ -891,6 +910,7 @@ mod tests {
     use super::*;
     use crate::builder::NwaBuilder;
     use automata_core::{BatchAcceptor, Compile, LaneRun, StreamAcceptor, StreamRun};
+    use nested_words::generate::{random_nested_word, NestedWordConfig};
     use nested_words::TaggedSymbol;
 
     fn even_calls_nwa() -> crate::Nwa {
@@ -968,6 +988,107 @@ mod tests {
         let back = CompiledSummary::<Nnwa>::load(&engine.save()).unwrap();
         assert_eq!(back, engine);
         assert_eq!(back.cached_summaries(), engine.cached_summaries());
+    }
+
+    /// Accepts exactly the words whose every return matches its call's
+    /// label, so a frame's call symbol decides the verdict.
+    fn matching_labels_nwa() -> crate::Nwa {
+        let mut m = crate::Nwa::new(4, 2, 0);
+        m.set_accepting(0, true);
+        for q in 1..4 {
+            m.set_all_transitions_to(q, 3);
+        }
+        for (a, pushed) in [(Symbol(0), 1), (Symbol(1), 2)] {
+            m.set_internal(0, a, 0);
+            m.set_call(0, a, 0, pushed);
+            for h in 0..4 {
+                m.set_return(0, h, a, if h == pushed { 0 } else { 3 });
+            }
+        }
+        m
+    }
+
+    /// Random nested words over `{0, 1}` with pending calls and returns.
+    fn random_streams(count: u64, len: usize) -> Vec<Vec<TaggedSymbol>> {
+        let ab = nested_words::Alphabet::ab();
+        let cfg = NestedWordConfig {
+            len,
+            allow_pending: true,
+            ..Default::default()
+        };
+        (0..count)
+            .map(|seed| random_nested_word(&ab, cfg, seed).to_tagged())
+            .collect()
+    }
+
+    /// How many steps the engine has derived so far.
+    fn derived<A: SummarySemantics>(engine: &CompiledSummary<A>) -> usize {
+        let memo = engine.lock_read().memo_rows();
+        memo.call.len() + memo.internal.len() + memo.pending.len() + memo.matched.len()
+    }
+
+    /// Equality compares the memo relations, not the layout: a loaded copy
+    /// places its return blocks in key order, the original in miss order.
+    #[test]
+    fn memo_equality_ignores_block_placement() {
+        let engine = CompiledSummary::new(Nnwa::from_deterministic(&even_calls_nwa()));
+        for events in random_streams(6, 40).iter().rev() {
+            engine.run_batch(&[events]);
+        }
+        let back = CompiledSummary::<Nnwa>::load(&engine.save()).unwrap();
+        let owners = |e: &CompiledSummary<Nnwa>| e.lock_read().owners.clone();
+        assert_ne!(owners(&back), owners(&engine), "the layouts should differ");
+        assert_eq!(back, engine);
+        assert_eq!(back.save(), engine.save());
+    }
+
+    /// Suspending right after a miss — at the end of a slice whose last
+    /// event was derived mid-slice — and resuming on a `load(save())` copy
+    /// taken at that moment continues exactly like the original lane, both
+    /// engines deriving further rows independently.
+    #[test]
+    fn suspend_right_after_a_miss_resumes_on_a_reloaded_copy() {
+        let mut rng = nested_words::rng::Prng::new(7);
+        let mut cuts = 0;
+        let automata = [even_calls_nwa(), matching_labels_nwa()];
+        for (events, m) in random_streams(8, 60).iter().zip(automata.iter().cycle()) {
+            let engine = CompiledSummary::new(Nnwa::from_deterministic(m));
+            // Where a cold engine misses: on a copy stepped event by event.
+            let probe = engine.clone();
+            let mut lane = probe.lane_start();
+            let mut misses = Vec::new();
+            for (i, &e) in events.iter().enumerate() {
+                let before = derived(&probe);
+                probe.lane_step(&mut lane, e);
+                if derived(&probe) > before {
+                    misses.push(i);
+                }
+            }
+            let mut lane = engine.lane_start();
+            let mut at = 0;
+            for &miss in &misses {
+                if miss < at || rng.below(2) == 0 {
+                    continue;
+                }
+                // One slice running from the last cut through the miss.
+                engine.lane_step_slice(&mut lane, &events[at..=miss]);
+                at = miss + 1;
+                let snapshot = engine.suspend_lane(&lane);
+                let copy = CompiledSummary::<Nnwa>::load(&engine.save()).unwrap();
+                let mut resumed = copy.resume_lane(&snapshot).unwrap();
+                let mut original = lane.clone();
+                let rest = &events[at..];
+                let split = rng.below(rest.len() + 1);
+                for part in [&rest[..split], &rest[split..]] {
+                    engine.lane_step_slice(&mut original, part);
+                    copy.lane_step_slice(&mut resumed, part);
+                    assert_eq!(copy.lane_outcome(&resumed), engine.lane_outcome(&original));
+                }
+                assert_eq!(copy.suspend_lane(&resumed), engine.suspend_lane(&original));
+                cuts += 1;
+            }
+        }
+        assert!(cuts > 10, "too few cuts after a miss: {cuts}");
     }
 
     #[test]

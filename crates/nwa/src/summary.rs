@@ -53,6 +53,9 @@ pub trait SummarySemantics {
 
     /// Returns `true` if the summary contains an accepting current state.
     fn summary_accepting(&self, s: &Summary) -> bool;
+
+    /// Alphabet size: events carry symbols below it.
+    fn sigma(&self) -> usize;
 }
 
 /// A streaming run of a summary-based nondeterministic model over

@@ -132,8 +132,9 @@ fn main() {
     let compiled_n = query::compile(&n);
     let stream_events = (0..big.len()).map(|i| TaggedSymbol::new(big.kind(i), big.symbol(i)));
     println!(
-        "compiled subset engine over the same stream: accepted {}, {} summaries memoized",
+        "compiled subset engine over the same stream: accepted {}, {} summaries memoized in {} bytes of tables",
         query::contains_stream(&compiled_n, stream_events),
-        compiled_n.cached_summaries()
+        compiled_n.cached_summaries(),
+        compiled_n.table_bytes()
     );
 }

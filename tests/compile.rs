@@ -17,6 +17,8 @@ use nested_words_suite::nested_words::path;
 use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa::families::{path_family_nwa, path_family_tagged_dfa};
 use nested_words_suite::nwa::joinless::joinless_from_nwa;
+use nested_words_suite::nwa::summary::SummarySemantics;
+use nested_words_suite::nwa_xml::queries::EVENT_SLICE;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -99,6 +101,80 @@ fn compiled_joinless_equals_interpreted_on_random_words() {
         for (i, w) in words.iter().enumerate() {
             let events = w.to_tagged();
             assert_runs_agree(&j, &c, &events, &format!("joinless seed {seed}, word {i}"));
+        }
+    }
+}
+
+/// Drives a summary engine through `events` in random slices — lengths in
+/// `1..=EVENT_SLICE`, mostly short, so misses land mid-slice — and checks
+/// it at every slice boundary against the interpreted subset construction
+/// stepped event by event (verdict, height, peak, event count) and against
+/// `accepts` on the prefix read so far.
+fn assert_sliced_summary_run<A>(
+    interpreted: &A,
+    compiled: &CompiledSummary<A>,
+    events: &[TaggedSymbol],
+    rng: &mut Prng,
+    ctx: &str,
+) where
+    A: SummarySemantics + StreamAcceptor + Acceptor<NestedWord>,
+{
+    let mut reference = interpreted.start();
+    let mut lane = compiled.lane_start();
+    let mut at = 0;
+    while at < events.len() {
+        let bound = if rng.bool(0.1) { EVENT_SLICE } else { 8 };
+        let end = (at + 1 + rng.below(bound)).min(events.len());
+        compiled.lane_step_slice(&mut lane, &events[at..end]);
+        for &event in &events[at..end] {
+            reference.step(event);
+        }
+        at = end;
+        let outcome = compiled.lane_outcome(&lane);
+        let ctx = format!("{ctx}, prefix {at}");
+        assert_eq!(outcome.accepted, reference.is_accepting(), "{ctx}");
+        assert_eq!(
+            compiled.lane_height(&lane),
+            reference.stack_height(),
+            "{ctx}"
+        );
+        assert_eq!(outcome.peak_memory, reference.peak_memory(), "{ctx}");
+        assert_eq!(outcome.events, at, "{ctx}");
+        let prefix = NestedWord::from_tagged(&events[..at]);
+        assert_eq!(outcome.accepted, interpreted.accepts(&prefix), "{ctx}");
+    }
+}
+
+/// The dense memo table ≡ the interpreted subset construction ≡
+/// `accepts`, for `Nnwa` and `JoinlessNwa`, on a cold engine (misses land
+/// mid-slice and the kernel resumes at the missed event) and then on the
+/// same engine warm (every step a dense hit, and nothing new derived).
+#[test]
+fn summary_engine_slices_match_interpreted_cold_and_warm() {
+    let words = random_words(prop_iters(30));
+    let mut rng = Prng::new(0x5EED);
+    for seed in 0..prop_iters(3) as u64 {
+        let n = random_nnwa_with_transitions(3, 2, 9, seed);
+        let j = joinless_from_nwa(&n);
+        let cn = query::compile(&n);
+        let cj = query::compile(&j);
+        for pass in ["cold", "warm"] {
+            let summaries = (cn.cached_summaries(), cj.cached_summaries());
+            for (i, w) in words.iter().enumerate() {
+                let events = w.to_tagged();
+                let ctx = format!("{pass} seed {seed}, word {i}");
+                assert_sliced_summary_run(&n, &cn, &events, &mut rng, &format!("nnwa {ctx}"));
+                assert_sliced_summary_run(&j, &cj, &events, &mut rng, &format!("joinless {ctx}"));
+            }
+            if pass == "warm" {
+                assert_eq!((cn.cached_summaries(), cj.cached_summaries()), summaries);
+            }
+        }
+        // The batch entry point runs the same kernel.
+        let streams: Vec<Vec<TaggedSymbol>> = words.iter().map(NestedWord::to_tagged).collect();
+        let slices: Vec<&[TaggedSymbol]> = streams.iter().map(Vec::as_slice).collect();
+        for (w, outcome) in words.iter().zip(cn.run_batch(&slices)) {
+            assert_eq!(outcome.accepted, n.accepts(w), "batch seed {seed}");
         }
     }
 }

@@ -248,6 +248,35 @@ fn compiled_stepwise_ta_round_trips_and_resumes_everywhere() {
     }
 }
 
+/// A loaded warm artifact replays its training streams on the rows it
+/// shipped with: the same verdicts, no summary interned and no step derived
+/// (its bytes do not change), through the slice kernel and the batch entry.
+#[test]
+fn loaded_warm_artifact_replays_its_training_streams() {
+    let training = random_streams(prop_iters(6), 30);
+    let slices: Vec<&[TaggedSymbol]> = training.iter().map(Vec::as_slice).collect();
+    for seed in 0..3u64 {
+        let compiled = random_nnwa_with_transitions(3, 2, 9, seed).compile();
+        let verdicts = compiled.run_batch(&slices);
+        let bytes = query::save(&compiled);
+        let loaded: CompiledSummary<Nnwa> = query::load(&bytes).unwrap();
+        let summaries = loaded.cached_summaries();
+        assert_eq!(summaries, compiled.cached_summaries(), "seed {seed}");
+        assert_eq!(loaded.run_batch(&slices), verdicts, "seed {seed}");
+        for (events, verdict) in training.iter().zip(&verdicts) {
+            let mut run = loaded.start();
+            run.step_slice(events);
+            assert_eq!(run.is_accepting(), verdict.accepted, "seed {seed}");
+        }
+        assert_eq!(loaded.cached_summaries(), summaries, "seed {seed}");
+        assert_eq!(
+            query::save(&loaded),
+            bytes,
+            "seed {seed}: replay derived new rows"
+        );
+    }
+}
+
 #[test]
 fn corrupt_bytes_are_typed_errors_for_every_engine() {
     check_corruption_rejected(&random_det_nwa(3, 2, 7).compile(), "compiled nwa");
