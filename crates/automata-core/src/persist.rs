@@ -411,6 +411,7 @@ impl<'a> Reader<'a> {
         self.checksum
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         let remaining = self.payload.len() - self.pos;
         if remaining < n {
@@ -425,6 +426,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4-byte field"),
@@ -432,6 +434,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8-byte field"),
@@ -448,6 +451,23 @@ impl<'a> Reader<'a> {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
             .collect())
+    }
+
+    /// Reads `rows` rows of `N` `u32`s each, bounds-checked once, as an
+    /// iterator borrowing the payload: no allocation, and the iterator can
+    /// be cloned for a second pass.
+    pub fn get_u32_rows<const N: usize>(
+        &mut self,
+        rows: usize,
+    ) -> Result<impl ExactSizeIterator<Item = [u32; N]> + Clone + 'a, PersistError> {
+        let len = rows.checked_mul(4 * N).ok_or(PersistError::Malformed {
+            context: "array length overflows",
+        })?;
+        Ok(self.take(len)?.chunks_exact(4 * N).map(|row| {
+            std::array::from_fn(|k| {
+                u32::from_le_bytes(row[4 * k..4 * k + 4].try_into().expect("4-byte field"))
+            })
+        }))
     }
 
     /// Reads a length-prefixed boolean array; any byte other than `0`/`1`

@@ -32,9 +32,11 @@
 //! The trade-off is memory: `CompiledNwa` materializes the full
 //! `states² × 3σ` return block in `u32`s up front (compilation fails on
 //! automata where the offsets would overflow `u32`). `CompiledSummary`'s
-//! rows grow by 4σ entries per *distinct* summary the input streams visit —
-//! bounded by the (exponential) determinization size, but in practice tiny
-//! and shared across runs. Its return blocks stay within
+//! table grows by 5σ–6σ `u32`s per *distinct* summary the input streams
+//! visit — 3σ linear rows, σ hierarchical slots and σ–2σ of the shared
+//! all-miss return block — bounded by the (exponential) determinization
+//! size, but in practice tiny and shared across runs. Its return blocks,
+//! the all-miss block included, are placed only while they fit
 //! [`PRODUCT_TABLE_BYTE_CAP`]; return rows past the cap live in a residual
 //! hash map.
 //! Both artifacts are language-exact: `tests/compile.rs` property-tests
@@ -634,13 +636,19 @@ pub(crate) enum Row {
 ///   all-`MISS` block. A lane's stack frame is the slot index `s + a`.
 /// * `ret[base + s + a]` is the matched return of that hierarchical state
 ///   over inner summary `s` by symbol `a`. A block has rows for
-///   `block_rows` summaries; when the interned count outgrows that, every
-///   block is re-placed at twice the size. A hierarchical state gets its
-///   block on the first matched return through it, while `ret` stays
-///   within [`PRODUCT_TABLE_BYTE_CAP`].
+///   `block_rows` summaries (the power of two at or above the interned
+///   count); when the count outgrows that, every block is re-placed at
+///   twice the size. A hierarchical state gets its block on the first
+///   matched return through it, while `ret` — the all-`MISS` block
+///   included — stays within [`PRODUCT_TABLE_BYTE_CAP`]. The all-`MISS`
+///   block itself must cover every summary, so it grows past the cap once
+///   the count does; from then on no block is placed.
 /// * `matched` is the residual map for return rows past that cap. It is
 ///   the only path for automata whose visited summaries outgrow the cap,
 ///   and the slice kernel consults it only when the dense lookup misses.
+///
+/// Each summary thus costs 5σ–6σ `u32`s before any block is placed
+/// ([`SummaryCache::dense_bytes`]).
 ///
 /// Ids never change, so the relations this layout stores — and the
 /// artifact bytes saved from them — are the same as under any other
@@ -699,17 +707,33 @@ fn block_entries(block: &[u32], sigma: u32) -> impl Iterator<Item = (u32, u16, u
 }
 
 impl SummaryCache {
-    /// An empty table for an automaton over `sigma` symbols, sized for
-    /// `count` summaries.
-    pub(crate) fn new(sigma: usize, count: usize) -> SummaryCache {
+    /// An empty table for an automaton over `sigma` symbols; it grows with
+    /// every [`push`](Self::push).
+    pub(crate) fn new(sigma: usize) -> SummaryCache {
+        SummaryCache::with_summaries(sigma, Vec::new(), HashMap::new())
+    }
+
+    /// A table of the `summaries` already interned under `index`, every
+    /// step underived: the same table pushing them one by one builds, in
+    /// one allocation per array. Panics past the `u32` offset space.
+    pub(crate) fn with_summaries(
+        sigma: usize,
+        summaries: Vec<InternedSummary>,
+        index: HashMap<Vec<u64>, u32>,
+    ) -> SummaryCache {
         let sigma = sigma.max(1);
-        let block_rows = count.max(1);
+        let count = summaries.len();
+        assert!(
+            Self::fits(count, sigma),
+            "summary table overflows the u32 offset space"
+        );
+        let block_rows = count.next_power_of_two();
         SummaryCache {
-            summaries: Vec::with_capacity(count),
-            index: HashMap::with_capacity(count),
+            summaries,
+            index,
             sigma: u32::try_from(sigma).expect("alphabet exceeds the u32 offset space"),
-            rows: Vec::with_capacity(3 * sigma * count),
-            hier: Vec::with_capacity(sigma * count),
+            rows: vec![MISS; 3 * sigma * count],
+            hier: vec![0; sigma * count],
             ret: vec![MISS; block_rows * sigma],
             block_rows: block_rows as u32,
             owners: Vec::new(),
@@ -723,6 +747,15 @@ impl SummaryCache {
         count
             .checked_mul(3 * sigma.max(1))
             .is_some_and(|len| len < MISS as usize)
+    }
+
+    /// The most bytes `count` summaries over `sigma` symbols take before
+    /// any return block is placed: 3σ linear rows, σ hierarchical slots and
+    /// at most 2σ of the all-`MISS` block each. `None` on overflow.
+    pub(crate) fn dense_bytes(count: usize, sigma: usize) -> Option<usize> {
+        count
+            .checked_mul(6 * sigma.max(1))?
+            .checked_mul(std::mem::size_of::<u32>())
     }
 
     /// The state offset of summary `id`.
@@ -758,7 +791,7 @@ impl SummaryCache {
 
     /// Appends a summary the index does not hold yet, with its underived
     /// linear rows and hierarchical slots, and returns its state offset.
-    pub(crate) fn push(&mut self, key: Vec<u64>, summary: Summary, accepting: bool) -> u32 {
+    fn push(&mut self, key: Vec<u64>, summary: Summary, accepting: bool) -> u32 {
         let sigma = self.sigma as usize;
         assert!(
             Self::fits(self.summaries.len() + 1, sigma),
@@ -783,6 +816,14 @@ impl SummaryCache {
     fn block_fits(&self) -> bool {
         ((self.ret.len() + self.block_len()) * std::mem::size_of::<u32>()) as u64
             <= PRODUCT_TABLE_BYTE_CAP
+    }
+
+    /// Reserves room in `ret` for up to `blocks` more return blocks, as far
+    /// as they fit the byte cap.
+    pub(crate) fn reserve_blocks(&mut self, blocks: usize) {
+        let cap = PRODUCT_TABLE_BYTE_CAP as usize / std::mem::size_of::<u32>();
+        let room = cap.saturating_sub(self.ret.len()) / self.block_len();
+        self.ret.reserve(blocks.min(room) * self.block_len());
     }
 
     /// Doubles the rows of every return block and re-places the blocks in
@@ -995,9 +1036,11 @@ impl Eq for SummaryCache {}
 /// The rows use [`CompiledNwa`]'s layout: summary `id` is the state offset
 /// `id·σ`, an event decodes to the in-row offset `kind·σ + a`, and a
 /// hierarchical state (outer summary, call symbol) owns a block of return
-/// rows. The return blocks stay within [`PRODUCT_TABLE_BYTE_CAP`]; return
-/// rows past the cap live in a residual hash map. [`table_bytes`]
-/// reports the footprint.
+/// rows. Each interned summary costs 5σ–6σ `u32`s of rows, slots and
+/// shared all-miss return block; further return blocks are placed only
+/// while the return blocks, the all-miss block included, fit
+/// [`PRODUCT_TABLE_BYTE_CAP`], and return rows past the cap live in a
+/// residual hash map. [`table_bytes`] reports the footprint.
 ///
 /// Generic over [`SummarySemantics`], so one engine serves both
 /// [`Nnwa`] (ordinary return relation) and [`JoinlessNwa`] (mode-split
@@ -1049,7 +1092,7 @@ impl<A: SummarySemantics + Clone> Clone for CompiledSummary<A> {
 impl<A: SummarySemantics> CompiledSummary<A> {
     /// Compiles the engine around (an owned copy of) the automaton.
     pub fn new(automaton: A) -> Self {
-        let mut cache = SummaryCache::new(automaton.sigma(), 1);
+        let mut cache = SummaryCache::new(automaton.sigma());
         let initial = cache.intern(&automaton, automaton.initial_summary());
         let initial = cache.id(initial);
         CompiledSummary {
@@ -1067,9 +1110,9 @@ impl<A: SummarySemantics> CompiledSummary<A> {
     }
 
     /// Bytes held by the memo table: the dense linear rows and
-    /// hierarchical slots, the return blocks (within
-    /// [`PRODUCT_TABLE_BYTE_CAP`] beside the shared all-miss block) and the
-    /// residual map's entries.
+    /// hierarchical slots, the return blocks with the shared all-miss block
+    /// (blocks are placed only while these fit [`PRODUCT_TABLE_BYTE_CAP`])
+    /// and the residual map's entries.
     pub fn table_bytes(&self) -> usize {
         self.lock_read().table_bytes()
     }
@@ -1162,9 +1205,7 @@ impl<A: SummarySemantics> BatchAcceptor for CompiledSummary<A> {
     /// The slice kernel on one event (see `lane_step_slice`).
     #[inline]
     fn lane_step(&self, lane: &mut CompiledSummaryLane, event: TaggedSymbol) {
-        while self.lock_read().run(lane, std::slice::from_ref(&event)) == 0 {
-            self.derive(lane, event);
-        }
+        self.lane_step_slice(lane, std::slice::from_ref(&event));
     }
 
     /// Takes the read guard once per slice (of at most 4096 events) and

@@ -95,6 +95,14 @@ impl JoinlessNwa {
         self.accepting.contains(&q)
     }
 
+    /// Reserves room for the given numbers of further call, internal and
+    /// return transitions.
+    pub(crate) fn reserve_transitions(&mut self, calls: usize, internals: usize, returns: usize) {
+        self.calls.reserve(calls);
+        self.internals.reserve(internals);
+        self.returns.reserve(returns);
+    }
+
     /// Adds a call transition.
     pub fn add_call(&mut self, q: usize, a: Symbol, linear_succ: usize, hier: usize) {
         self.calls.push((q, a, linear_succ, hier));

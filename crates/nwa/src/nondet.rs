@@ -73,6 +73,14 @@ impl Nnwa {
         self.accepting.contains(&q)
     }
 
+    /// Reserves room for the given numbers of further call, internal and
+    /// return transitions.
+    pub(crate) fn reserve_transitions(&mut self, calls: usize, internals: usize, returns: usize) {
+        self.calls.reserve(calls);
+        self.internals.reserve(internals);
+        self.returns.reserve(returns);
+    }
+
     /// Adds the call transition `(q, a) → (q_linear, q_hier)`.
     pub fn add_call(&mut self, q: usize, a: Symbol, linear: usize, hier: usize) {
         self.calls.push((q, a, linear, hier));

@@ -13,9 +13,13 @@
 //!   == a` compares the memo relations too). The bytes name ids, never
 //!   table offsets, so they do not depend on where the dense table placed
 //!   a row. Ids are range-checked and duplicate rows refused on load, which
-//!   then rebuilds the dense table; the rows themselves are trusted content
-//!   guarded by the payload checksum — re-deriving them would be
-//!   re-compiling, which is exactly what loading exists to avoid.
+//!   then rebuilds the dense table from the decoded summaries. An image
+//!   whose table would outgrow `TABLE_BYTES_PER_IMAGE_BYTE` bytes per
+//!   image byte (floor `TABLE_BYTES_FLOOR`) is refused first, since σ is
+//!   one header word and each summary only a few bytes of image. The rows
+//!   themselves are trusted content guarded by the payload checksum —
+//!   re-deriving them would be re-compiling, which is exactly what loading
+//!   exists to avoid.
 //!
 //! Snapshots of the dense engine are self-contained (state row offset plus
 //! a stack of return-block bases, `check = 0`); snapshots of the subset
@@ -27,8 +31,8 @@
 //! from the wrong summary.
 
 use crate::compile::{
-    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane, Row,
-    SummaryCache,
+    summary_key, CompiledNwa, CompiledNwaLane, CompiledSummary, CompiledSummaryLane,
+    InternedSummary, Row, SummaryCache,
 };
 use crate::joinless::JoinlessNwa;
 use crate::nondet::Nnwa;
@@ -39,6 +43,7 @@ use automata_core::persist::{
 };
 use automata_core::{Persist, PersistError, Snapshot, Suspend};
 use nested_words::{Symbol, TaggedSymbol};
+use std::collections::HashMap;
 use std::sync::RwLock;
 
 // --------------------------------------------------------------------------
@@ -373,6 +378,19 @@ fn decode_automaton_head(
     Ok((n, sigma, initial, accepting))
 }
 
+/// Reads a `u32` array written by [`Writer::put_u32_slice`] as rows of
+/// `N` words; a length that is no multiple of `N` is malformed.
+fn get_relation<'a, const N: usize>(
+    r: &mut Reader<'a>,
+    context: &'static str,
+) -> Result<impl ExactSizeIterator<Item = [u32; N]> + Clone + 'a, PersistError> {
+    let words = r.get_count(4)?;
+    if words % N != 0 {
+        return Err(PersistError::Malformed { context });
+    }
+    r.get_u32_rows::<N>(words / N)
+}
+
 fn state_word(q: usize) -> u32 {
     u32::try_from(q).expect("state id fits u32")
 }
@@ -442,45 +460,31 @@ impl PersistableSemantics for Nnwa {
                 a.add_accepting(q);
             }
         }
-        let calls = r.get_u32_vec()?;
-        if calls.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "call relation truncated mid-transition",
-            });
-        }
-        for t in calls.chunks_exact(4) {
+        let calls = get_relation::<4>(r, "call relation truncated mid-transition")?;
+        let internals = get_relation::<3>(r, "internal relation truncated mid-transition")?;
+        let returns = get_relation::<4>(r, "return relation truncated mid-transition")?;
+        a.reserve_transitions(calls.len(), internals.len(), returns.len());
+        for [q, s, linear, hier] in calls {
             a.add_call(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-                decode_state(t[3], n)?,
+                decode_state(q, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(linear, n)?,
+                decode_state(hier, n)?,
             );
         }
-        let internals = r.get_u32_vec()?;
-        if internals.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "internal relation truncated mid-transition",
-            });
-        }
-        for t in internals.chunks_exact(3) {
+        for [q, s, target] in internals {
             a.add_internal(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
+                decode_state(q, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(target, n)?,
             );
         }
-        let returns = r.get_u32_vec()?;
-        if returns.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "return relation truncated mid-transition",
-            });
-        }
-        for t in returns.chunks_exact(4) {
+        for [linear, hier, s, target] in returns {
             a.add_return(
-                decode_state(t[0], n)?,
-                decode_state(t[1], n)?,
-                decode_symbol(t[2], sigma)?,
-                decode_state(t[3], n)?,
+                decode_state(linear, n)?,
+                decode_state(hier, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(target, n)?,
             );
         }
         Ok(a)
@@ -556,44 +560,30 @@ impl PersistableSemantics for JoinlessNwa {
                 a.add_accepting(q);
             }
         }
-        let calls = r.get_u32_vec()?;
-        if calls.len() % 4 != 0 {
-            return Err(PersistError::Malformed {
-                context: "call relation truncated mid-transition",
-            });
-        }
-        for t in calls.chunks_exact(4) {
+        let calls = get_relation::<4>(r, "call relation truncated mid-transition")?;
+        let internals = get_relation::<3>(r, "internal relation truncated mid-transition")?;
+        let returns = get_relation::<3>(r, "return relation truncated mid-transition")?;
+        a.reserve_transitions(calls.len(), internals.len(), returns.len());
+        for [q, s, linear, hier] in calls {
             a.add_call(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
-                decode_state(t[3], n)?,
+                decode_state(q, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(linear, n)?,
+                decode_state(hier, n)?,
             );
         }
-        let internals = r.get_u32_vec()?;
-        if internals.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "internal relation truncated mid-transition",
-            });
-        }
-        for t in internals.chunks_exact(3) {
+        for [q, s, target] in internals {
             a.add_internal(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
+                decode_state(q, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(target, n)?,
             );
         }
-        let returns = r.get_u32_vec()?;
-        if returns.len() % 3 != 0 {
-            return Err(PersistError::Malformed {
-                context: "return relation truncated mid-transition",
-            });
-        }
-        for t in returns.chunks_exact(3) {
+        for [q, s, target] in returns {
             a.add_return(
-                decode_state(t[0], n)?,
-                decode_symbol(t[1], sigma)?,
-                decode_state(t[2], n)?,
+                decode_state(q, n)?,
+                decode_symbol(s, sigma)?,
+                decode_state(target, n)?,
             );
         }
         Ok(a)
@@ -608,6 +598,26 @@ fn put_rows<const N: usize>(w: &mut Writer, rows: impl ExactSizeIterator<Item = 
             w.put_u32(word);
         }
     }
+}
+
+/// Dense-table bytes a loaded summary image may claim per byte of the
+/// image. A summary costs one flag byte and an 8-byte pair-list length in
+/// the image but 5σ–6σ `u32`s in the table, and σ is a header word, so
+/// without this bound a few kilobytes could ask for gigabytes.
+const TABLE_BYTES_PER_IMAGE_BYTE: usize = 64;
+
+/// Dense-table bytes any summary image may claim whatever its length, so a
+/// small image of a wide-alphabet engine still loads.
+const TABLE_BYTES_FLOOR: usize = 64 << 20;
+
+/// Whether `count` summaries over `sigma` symbols stay within the table
+/// bytes an image of `image_len` bytes may claim: at most
+/// [`TABLE_BYTES_PER_IMAGE_BYTE`] per image byte, or [`TABLE_BYTES_FLOOR`].
+fn table_fits_image(count: usize, sigma: usize, image_len: usize) -> bool {
+    let allowance = image_len
+        .saturating_mul(TABLE_BYTES_PER_IMAGE_BYTE)
+        .max(TABLE_BYTES_FLOOR);
+    SummaryCache::dense_bytes(count, sigma).is_some_and(|bytes| bytes <= allowance)
 }
 
 /// Range-checks one decoded summary id.
@@ -644,10 +654,12 @@ fn get_linear_rows(
     let count = cache.summaries.len();
     // Rows are (summary, symbol, summary): three u32s.
     let len = r.get_count(3 * 4)?;
-    for _ in 0..len {
-        let q = decode_id(r.get_u32()?, count)?;
-        let a = decode_symbol(r.get_u32()?, sigma)?;
-        let v = decode_id(r.get_u32()?, count)?;
+    for [q, a, v] in r.get_u32_rows::<3>(len)? {
+        let (q, a, v) = (
+            decode_id(q, count)?,
+            decode_symbol(a, sigma)?,
+            decode_id(v, count)?,
+        );
         let row = cache.row_of(cache.offset(q), 0, 1, event(a));
         insert_row(cache, row, v)?;
     }
@@ -664,13 +676,22 @@ fn get_matched_rows(
     let count = cache.summaries.len();
     // Rows are (outer, call symbol, inner, symbol, summary): five u32s.
     let len = r.get_count(5 * 4)?;
-    for _ in 0..len {
-        let outer = decode_id(r.get_u32()?, count)?;
-        let ca = decode_symbol(r.get_u32()?, sigma)?;
-        let inner = decode_id(r.get_u32()?, count)?;
-        let a = decode_symbol(r.get_u32()?, sigma)?;
-        let v = decode_id(r.get_u32()?, count)?;
-        let frame = cache.frame(outer, ca);
+    let rows = r.get_u32_rows::<5>(len)?;
+    // Saved rows are sorted by frame, so each run of one frame is one block.
+    let frames = rows.clone().map(|[outer, ca, ..]| (outer, ca));
+    let runs = frames
+        .clone()
+        .zip(frames.skip(1))
+        .filter(|(x, y)| x != y)
+        .count();
+    cache.reserve_blocks(runs + usize::from(len > 0));
+    for [outer, ca, inner, a, v] in rows {
+        let frame = cache.frame(decode_id(outer, count)?, decode_symbol(ca, sigma)?);
+        let (inner, a, v) = (
+            decode_id(inner, count)?,
+            decode_symbol(a, sigma)?,
+            decode_id(v, count)?,
+        );
         let row = cache.row_of(cache.offset(inner), frame, 2, TaggedSymbol::Return(a));
         insert_row(cache, row, v)?;
     }
@@ -747,31 +768,40 @@ impl<A: PersistableSemantics> Persist for CompiledSummary<A> {
                 context: "summary table exceeds the u32 offset space",
             });
         }
-        let mut cache = SummaryCache::new(sigma, count);
+        if !table_fits_image(count, sigma, bytes.len()) {
+            return Err(PersistError::Malformed {
+                context: "summary table too large for the image",
+            });
+        }
+        // Grown as summaries decode: `count` is not yet backed by payload.
+        let mut summaries = Vec::new();
+        let mut index = HashMap::new();
         for &flag in &accepting {
-            let words = r.get_u32_vec()?;
-            if words.len() % 2 != 0 {
-                return Err(PersistError::Malformed {
-                    context: "summary pair list truncated mid-pair",
-                });
-            }
+            let pairs = get_relation::<2>(&mut r, "summary pair list truncated mid-pair")?;
+            let len = pairs.len();
             let mut summary = Summary::new();
-            for pair in words.chunks_exact(2) {
-                summary.insert((decode_state(pair[0], n)?, decode_state(pair[1], n)?));
+            for [anchor, cur] in pairs {
+                summary.insert((decode_state(anchor, n)?, decode_state(cur, n)?));
             }
-            if summary.len() * 2 != words.len() {
+            if summary.len() != len {
                 return Err(PersistError::Malformed {
                     context: "duplicate pair inside an interned summary",
                 });
             }
-            let key = summary_key(&summary);
-            if cache.index.contains_key(&key) {
+            if index
+                .insert(summary_key(&summary), summaries.len() as u32)
+                .is_some()
+            {
                 return Err(PersistError::Malformed {
                     context: "the same summary interned twice",
                 });
             }
-            cache.push(key, summary, flag);
+            summaries.push(InternedSummary {
+                summary,
+                accepting: flag,
+            });
         }
+        let mut cache = SummaryCache::with_summaries(sigma, summaries, index);
         if count == 0 || initial as usize >= count {
             return Err(PersistError::Malformed {
                 context: "initial summary out of range",

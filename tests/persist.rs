@@ -333,6 +333,56 @@ fn resealed_hostile_memo_lengths_are_typed_errors() {
     }
 }
 
+/// A checksum-valid image that claims many summaries over a wide alphabet
+/// is refused before the dense table is built. Each claimed summary costs
+/// the image 17 bytes but the table 5σ–6σ `u32`s, and σ is one header
+/// word: here about 1.3 KB of image would otherwise ask for about 100 MB,
+/// and about 370 KB for about 34 GB. The honest one-summary image of the
+/// same wide-alphabet engine still loads.
+#[test]
+fn resealed_hostile_summary_counts_are_typed_errors() {
+    use nested_words_suite::automata_core::persist::{checksum_bytes, HEADER_LEN};
+
+    let (states, sigma) = (27usize, 1usize << 16);
+    let bytes = query::save(&Nnwa::new(states, sigma).compile());
+    query::load::<CompiledSummary<Nnwa>>(&bytes).expect("the honest image loads");
+    // A cold image of an automaton without initial states ends in the
+    // summary count 1, its one flag, the empty initial summary and four
+    // empty memo maps.
+    let count_at = bytes.len() - (8 + 8 + 1 + 8 + 4 * 8);
+    assert_eq!(bytes[count_at..count_at + 8], 1u64.to_le_bytes());
+    for count in [64u64, 21_800] {
+        let mut hostile = bytes[..count_at].to_vec();
+        hostile.extend_from_slice(&count.to_le_bytes());
+        hostile.extend_from_slice(&count.to_le_bytes());
+        hostile.resize(hostile.len() + count as usize, 0);
+        // The empty initial summary, then distinct one-pair summaries.
+        hostile.extend_from_slice(&0u64.to_le_bytes());
+        for i in 1..count as u32 {
+            hostile.extend_from_slice(&2u64.to_le_bytes());
+            for word in [i / states as u32, i % states as u32] {
+                hostile.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+        hostile.extend_from_slice(&[0u8; 4 * 8]);
+        let payload_len = (hostile.len() - HEADER_LEN) as u64;
+        hostile[16..24].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = checksum_bytes(&hostile[HEADER_LEN..]);
+        hostile[24..32].copy_from_slice(&checksum.to_le_bytes());
+        let err = query::load::<CompiledSummary<Nnwa>>(&hostile)
+            .expect_err("a table far larger than its image must not load");
+        assert!(
+            matches!(
+                err,
+                PersistError::Malformed {
+                    context: "summary table too large for the image"
+                }
+            ),
+            "{count} summaries over σ = {sigma}: got {err:?}"
+        );
+    }
+}
+
 #[test]
 fn artifacts_reject_foreign_bytes_and_foreign_snapshots() {
     let nwa_artifact = random_det_nwa(3, 2, 1).compile();
