@@ -25,7 +25,6 @@ use nested_words_suite::nwa_xml::queries::{
 };
 use nested_words_suite::nwa_xml::sax::parse_document;
 use nested_words_suite::nwa_xml::sax::to_xml;
-#[cfg(feature = "simd")]
 use nested_words_suite::nwa_xml::scan;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
@@ -265,10 +264,10 @@ fn bench_compiled(c: &mut Criterion) {
 
     // Bytes in, verdict out: the full byte-level pipeline (incremental
     // UTF-8 decode → SAX events → automaton), interpreted and compiled.
-    // With the `simd` feature the group runs every row twice — the plain
-    // rows pinned to the portable SWAR backend, the `_simd` rows on the
-    // runtime-detected wide backend — so one `--features simd` run records
-    // both sides of the comparison CI gates on.
+    // The plain rows are pinned to the portable SWAR backend; on a host
+    // with a wide backend (AVX2/NEON) every row runs again as a `_simd`
+    // row on it, so one run records both sides of the comparison CI gates
+    // on. Runtime detection is restored after each size.
     let mut group = c.benchmark_group("e15c_bytes_to_verdict");
     group
         .sample_size(10)
@@ -287,7 +286,6 @@ fn bench_compiled(c: &mut Criterion) {
         let cq = query::compile(&q);
         let xml = to_xml(&doc, &ab);
         group.throughput(Throughput::Bytes(xml.len() as u64));
-        #[cfg(feature = "simd")]
         assert!(scan::force_scan_backend(scan::ScanBackend::Swar));
         group.bench_with_input(
             BenchmarkId::new("bytes_interpreted", events),
@@ -299,21 +297,18 @@ fn bench_compiled(c: &mut Criterion) {
             &xml,
             |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
         );
-        #[cfg(feature = "simd")]
-        {
-            scan::auto_scan_backend();
-            if scan::scan_backend() != scan::ScanBackend::Swar {
-                group.bench_with_input(
-                    BenchmarkId::new("bytes_interpreted_simd", events),
-                    &xml,
-                    |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
-                );
-                group.bench_with_input(
-                    BenchmarkId::new("bytes_compiled_simd", events),
-                    &xml,
-                    |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
-                );
-            }
+        scan::auto_scan_backend();
+        if scan::scan_backend() != scan::ScanBackend::Swar {
+            group.bench_with_input(
+                BenchmarkId::new("bytes_interpreted_simd", events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&q, xml.as_bytes(), &ab).unwrap()),
+            );
+            group.bench_with_input(
+                BenchmarkId::new("bytes_compiled_simd", events),
+                &xml,
+                |b, xml| b.iter(|| run_streaming_reader(&cq, xml.as_bytes(), &ab).unwrap()),
+            );
         }
     }
     group.finish();

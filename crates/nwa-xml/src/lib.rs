@@ -29,13 +29,13 @@
 //!   `and`/`or`/`not` and lowered to one deterministic NWA through the
 //!   `automata-core` boolean constructions.
 
-// Without `simd` the crate is unsafe-free, enforced at `forbid` strength.
-// The feature's vector kernels need `core::arch` intrinsics, so that build
-// steps down to `deny` and the scanner's kernel module carries the one
-// scoped `allow(unsafe_code)` (bounds asserted, ISA presence proven by
-// construction — see `scan`'s `simd` module).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The scanner's AVX2/NEON kernels need `core::arch` intrinsics, so every
+// build carries unsafe code: the crate denies it, the kernel module
+// (`scan`'s `simd`) is the one scoped `allow(unsafe_code)` (bounds
+// asserted, ISA presence proven by construction), and each unsafe block
+// there must say why it is sound in a `// SAFETY:` comment.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod expr;

@@ -277,33 +277,17 @@ impl<N: ResolveName> LexerCore<N> {
     pub(crate) fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
         if name.len() <= 16 {
             let (w0, w1) = pack_name(name);
-            let len = name.len() as u32;
-            // Any mix is fine — a slot collision costs a policy call, not
-            // a wrong answer (the key compare below is exact).
-            let mix =
-                (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
-            let e = self.cache[slot];
-            if e.w0 == w0 && e.w1 == w1 && e.len == len {
-                return Ok(e.sym);
-            }
-            let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
-            let sym = self.names.resolve(name)?;
-            self.cache[slot] = NameCacheEntry { w0, w1, len, sym };
-            return Ok(sym);
+            return self.resolve_prepacked(w0, w1, name);
         }
         let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
         Ok(self.names.resolve(name)?)
     }
 
-    /// The SIMD fill path's spelling of [`Self::resolve_bytes`] for short
-    /// names: the caller already holds the exact cache key — the same
-    /// `(w0, w1)` value [`pack_name`] would produce, built from two masked
-    /// word loads of its in-bounds window — so a hit costs only the probe.
-    /// Misses take the identical policy path and fill the same slot, so
-    /// the answer (and the cache state left behind) matches
-    /// `resolve_bytes` exactly.
-    #[cfg(feature = "simd")]
+    /// The cache probe of [`Self::resolve_bytes`] for a name of at most 16
+    /// bytes whose exact cache key — the `(w0, w1)` value [`pack_name`]
+    /// produces — the caller already holds. The wide fill path builds that
+    /// key from two masked word loads of its in-bounds window, so a hit
+    /// costs only the probe. Misses consult the policy and fill the slot.
     #[inline]
     pub(crate) fn resolve_prepacked(
         &mut self,
@@ -311,9 +295,11 @@ impl<N: ResolveName> LexerCore<N> {
         w1: u64,
         name: &[u8],
     ) -> Result<Symbol, SaxError> {
-        debug_assert!((1..=16).contains(&name.len()));
+        debug_assert!(name.len() <= 16);
         debug_assert_eq!(pack_name(name), (w0, w1));
         let len = name.len() as u32;
+        // Any mix is fine — a slot collision costs a policy call, not a
+        // wrong answer (the key compare below is exact).
         let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
         let e = self.cache[slot];
@@ -326,7 +312,6 @@ impl<N: ResolveName> LexerCore<N> {
     /// The policy-consulting tail of [`Self::resolve_prepacked`], kept out
     /// of the inlined probe: per distinct name it runs once, while the
     /// probe runs per event.
-    #[cfg(feature = "simd")]
     #[cold]
     fn resolve_prepacked_miss(
         &mut self,

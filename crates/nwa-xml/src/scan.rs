@@ -58,6 +58,24 @@ enum Utf8Stop {
     Invalid,
 }
 
+/// Length of the longest all-ASCII prefix the wide backend can certify in
+/// whole vectors — the UTF-8 validator's fast-forward. Returns 0 on the
+/// SWAR backend (or within a vector of the first non-ASCII byte), leaving
+/// the word-at-a-time loop to do exactly what it always did.
+#[inline]
+fn ascii_run(bytes: &[u8]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(k) = simd::Avx2::active() {
+        return k.ascii_run(bytes);
+    }
+    #[cfg(target_arch = "aarch64")]
+    if let Some(k) = simd::Neon::active() {
+        return k.ascii_run(bytes);
+    }
+    let _ = bytes;
+    0
+}
+
 /// Validates one byte run, returning the length of its longest prefix made
 /// of whole valid scalars and what stopped the sweep there.
 ///
@@ -69,17 +87,11 @@ enum Utf8Stop {
 fn validate_utf8(bytes: &[u8]) -> (usize, Utf8Stop) {
     const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
     let n = bytes.len();
-    let mut i = 0;
+    // On the wide backend, whole-vector ASCII runs are swallowed up front
+    // and after every non-ASCII scalar; the word loop below keeps the
+    // tails and stays the only path on SWAR.
+    let mut i = ascii_run(bytes);
     while i < n {
-        // On the wide backend, swallow whole-vector ASCII runs first; the
-        // word loop below keeps the tail and stays the only path on SWAR.
-        #[cfg(feature = "simd")]
-        {
-            i += simd::ascii_run(&bytes[i..]);
-            if i >= n {
-                break;
-            }
-        }
         let b = bytes[i];
         if b < 0x80 {
             if i + 8 <= n {
@@ -114,6 +126,7 @@ fn validate_utf8(bytes: &[u8]) -> (usize, Utf8Stop) {
             return (i, Utf8Stop::Incomplete);
         }
         i += len;
+        i += ascii_run(&bytes[i..]);
     }
     (n, Utf8Stop::Clean)
 }
@@ -186,7 +199,7 @@ fn load_word(data: &[u8], i: usize) -> u64 {
 }
 
 // --------------------------------------------------------------------------
-// Sweep backend selection (SWAR default, wide kernels behind `simd`)
+// Sweep backend selection (runtime-detected wide kernels, SWAR fallback)
 // --------------------------------------------------------------------------
 
 /// Which sweep kernel the bulk scanner uses to classify window bytes. The
@@ -195,8 +208,9 @@ fn load_word(data: &[u8], i: usize) -> u64 {
 /// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanBackend {
-    /// Portable 8-byte SWAR word sweeps: the default, and the only backend
-    /// compiled without the `simd` cargo feature.
+    /// Portable 8-byte SWAR word sweeps: the fallback on CPUs and targets
+    /// without a wide kernel, and the reference the wide kernels are
+    /// tested against (pin it with [`force_scan_backend`]).
     Swar,
     /// 64-byte AVX2 block classification (`x86_64`, runtime-detected).
     Avx2,
@@ -204,21 +218,21 @@ pub enum ScanBackend {
     Neon,
 }
 
-/// The backend the next window fill will use. Without the `simd` feature
-/// this is always [`ScanBackend::Swar`]; with it, the CPU is probed once
-/// (AVX2 on `x86_64` via `is_x86_feature_detected!`, NEON unconditionally
-/// on `aarch64` where it is baseline) and the answer cached. Benches and
-/// docs use this to report which path actually ran.
+/// The backend the next window fill will use. Unless a backend was forced,
+/// the CPU is probed once (AVX2 on `x86_64` via `is_x86_feature_detected!`,
+/// NEON unconditionally on `aarch64` where it is baseline, SWAR on every
+/// other target) and the answer cached. Benches, perfbench and the
+/// examples use this to report which path actually ran.
 pub fn scan_backend() -> ScanBackend {
     backend::current()
 }
 
 /// Forces the sweep backend process-wide — how the benches and the
 /// differential tests run SWAR and SIMD side by side in one process.
-/// Returns `false` (changing nothing) if the requested backend is not
-/// compiled in or not supported by this CPU; [`auto_scan_backend`] returns
-/// to runtime detection. Safe at any moment: a lexer mid-stream simply
-/// fills its next window with the new backend.
+/// Returns `false` (changing nothing) if the requested backend does not
+/// exist on this target or is not supported by this CPU;
+/// [`auto_scan_backend`] returns to runtime detection. Safe at any moment:
+/// a lexer mid-stream simply fills its next window with the new backend.
 pub fn force_scan_backend(backend: ScanBackend) -> bool {
     backend::force(backend)
 }
@@ -228,7 +242,6 @@ pub fn auto_scan_backend() {
     backend::reset()
 }
 
-#[cfg(feature = "simd")]
 mod backend {
     use super::ScanBackend;
     use std::sync::atomic::{AtomicU8, Ordering};
@@ -295,21 +308,6 @@ mod backend {
     }
 }
 
-#[cfg(not(feature = "simd"))]
-mod backend {
-    use super::ScanBackend;
-
-    pub(super) fn current() -> ScanBackend {
-        ScanBackend::Swar
-    }
-
-    pub(super) fn force(b: ScanBackend) -> bool {
-        b == ScanBackend::Swar
-    }
-
-    pub(super) fn reset() {}
-}
-
 /// Wide structural classification — the simdjson stage-1 idea scoped to
 /// this scanner. One vector pass over a 64-byte block produces five
 /// bitmasks (ASCII whitespace, `<`, `>`, "breaks a simple tag body",
@@ -320,7 +318,7 @@ mod backend {
 /// block/window seams), goes through the same scalar [`step_token`] the
 /// SWAR backend uses, which is how the backends stay equivalent by
 /// construction.
-#[cfg(feature = "simd")]
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(unsafe_code)]
 mod simd {
     /// Bytes classified per [`BlockClassifier::classify`] call.
@@ -398,23 +396,6 @@ mod simd {
         }
     }
 
-    /// Length of the longest all-ASCII prefix the wide backend can certify
-    /// in whole vectors — the UTF-8 validator's fast-forward. Returns 0 on
-    /// the SWAR backend (or within a vector of the first non-ASCII byte),
-    /// leaving the word-at-a-time loop to do exactly what it always did.
-    pub(super) fn ascii_run(bytes: &[u8]) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(k) = Avx2::active() {
-            return k.ascii_run(bytes);
-        }
-        #[cfg(target_arch = "aarch64")]
-        if let Some(k) = Neon::active() {
-            return k.ascii_run(bytes);
-        }
-        let _ = bytes;
-        0
-    }
-
     #[cfg(target_arch = "x86_64")]
     pub(super) use x86::Avx2;
 
@@ -436,7 +417,7 @@ mod simd {
                 (crate::scan::scan_backend() == crate::scan::ScanBackend::Avx2).then_some(Avx2(()))
             }
 
-            /// See [`super::ascii_run`].
+            /// See [`ascii_run`](crate::scan::ascii_run).
             #[inline]
             pub(in crate::scan) fn ascii_run(self, bytes: &[u8]) -> usize {
                 // SAFETY: `self` proves AVX2 is present; all loads stay
@@ -447,6 +428,10 @@ mod simd {
 
         /// 32 bytes per test: the prefix ends inside the first vector with
         /// a set high bit, located by the movemask's trailing zeros.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
         #[target_feature(enable = "avx2")]
         unsafe fn ascii_run_avx2(bytes: &[u8]) -> usize {
             let n = bytes.len();
@@ -474,6 +459,10 @@ mod simd {
 
         /// Two 32-byte lanes; each class is one byte-compare (or the
         /// signed-compare union trick) plus a movemask.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2, and `at + BLOCK <= data.len()`.
         #[target_feature(enable = "avx2")]
         unsafe fn classify64(data: &[u8], at: usize) -> BlockMasks {
             let mut m = BlockMasks::default();
@@ -535,9 +524,9 @@ mod simd {
                 (crate::scan::scan_backend() == crate::scan::ScanBackend::Neon).then_some(Neon(()))
             }
 
-            /// See [`super::ascii_run`]; 16 bytes per `vmaxvq_u8` test,
-            /// stopping short of the vector holding the first high byte
-            /// (the word loop finishes it).
+            /// See [`ascii_run`](crate::scan::ascii_run); 16 bytes per
+            /// `vmaxvq_u8` test, stopping short of the vector holding the
+            /// first high byte (the word loop finishes it).
             #[inline]
             pub(in crate::scan) fn ascii_run(self, bytes: &[u8]) -> usize {
                 let n = bytes.len();
@@ -570,6 +559,10 @@ mod simd {
         /// each lane with its bit weight, then three pairwise adds fold 64
         /// single-bit bytes into 8 mask bytes (the simdjson-on-arm idiom —
         /// NEON has no movemask).
+        ///
+        /// # Safety
+        ///
+        /// None: NEON is baseline on aarch64, and the one load reads `BITS`.
         #[inline(always)]
         unsafe fn movemask4(m0: uint8x16_t, m1: uint8x16_t, m2: uint8x16_t, m3: uint8x16_t) -> u64 {
             const BITS: [u8; 16] = [1, 2, 4, 8, 16, 32, 64, 128, 1, 2, 4, 8, 16, 32, 64, 128];
@@ -582,6 +575,10 @@ mod simd {
 
         /// Four 16-byte lanes per block; same classes as the AVX2 kernel,
         /// with the signed-compare union trick spelled `vcltq_s8`.
+        ///
+        /// # Safety
+        ///
+        /// `at + BLOCK <= data.len()`.
         unsafe fn classify64(data: &[u8], at: usize) -> BlockMasks {
             let mut ws = [vdupq_n_u8(0); 4];
             let mut lt = [vdupq_n_u8(0); 4];
@@ -1007,7 +1004,7 @@ fn step_token<N: ResolveName>(
 /// from two raw word loads and a mask instead. Callers guarantee
 /// `from + 16 <= data.len()` (the block fill's fast region does by
 /// construction), so the overread-free loads stay in bounds.
-#[cfg(feature = "simd")]
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline(always)]
 fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
     debug_assert!((1..=16).contains(&len) && from + 16 <= data.len());
@@ -1123,11 +1120,11 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
     /// `resolve_bytes`), so the common path touches each input byte once in
     /// a word or vector and never re-walks a token as chars.
     fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if let Some(kernel) = simd::Avx2::active() {
             return self.fill_window_blocks(kernel, out, max);
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        #[cfg(target_arch = "aarch64")]
         if let Some(kernel) = simd::Neon::active() {
             return self.fill_window_blocks(kernel, out, max);
         }
@@ -1177,7 +1174,7 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
     /// same token the SWAR sweeps find" (simple-body certification comes
     /// from the `bad` mask, the very interest set of [`find_tag_close`])
     /// or literally the same code.
-    #[cfg(feature = "simd")]
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     fn fill_window_blocks<C: simd::BlockClassifier>(
         &mut self,
         cls: C,

@@ -11,25 +11,65 @@
 //! UTF-8, lexes and classifies tags on its own, and reaches the library
 //! only through the public `ResolveName` policy.
 //!
-//! With the `simd` feature on, the whole suite implicitly runs against the
-//! auto-detected wide backend (the backend is probed on first use), and an
-//! additional property pins the two sweeps against each other directly:
-//! SWAR and the wide kernel must be token-for-token identical on documents
-//! shifted across the kernels' 32/64-byte block seams and the 64 KiB scan
-//! window seam.
+//! Every oracle property runs twice in-process: once with the portable SWAR
+//! backend forced, and once on the runtime-detected wide backend (AVX2 on
+//! `x86_64`, NEON on `aarch64`) when the host has one. A further property
+//! pins the two sweeps against each other directly: SWAR and the wide
+//! kernel must be token-for-token identical on documents shifted across
+//! the kernels' 32/64-byte block seams and the 64 KiB scan window seam.
+//! The scan backend is process-global, so every test that depends on it
+//! holds one lock ([`backend_lock`]) while it switches and runs.
 
 mod oracle;
 
 use std::io;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nested_words::rng::Prng;
 use nested_words::{Alphabet, NestedWordError, TaggedSymbol};
 use nwa_xml::sax::{ByteTokenizer, FrozenByteTokenizer, SaxError};
+use nwa_xml::scan::{auto_scan_backend, force_scan_backend, scan_backend, ScanBackend};
 use oracle::{EventLexer, Utf8Chars};
 
 // --------------------------------------------------------------------------
 // Harness
 // --------------------------------------------------------------------------
+
+/// Guards the process-global scan backend. The test harness runs tests on
+/// parallel threads, so without it one test's `force_scan_backend` could
+/// land in the middle of another test's "SWAR" run.
+static BACKEND: Mutex<()> = Mutex::new(());
+
+/// Takes the backend lock; a test that panicked while holding it leaves
+/// nothing to repair, since every holder forces the backend it needs.
+fn backend_lock() -> MutexGuard<'static, ()> {
+    BACKEND.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The wide backend runtime detection picks on this host, or `None` when
+/// there is none (a CPU without AVX2, or a target without a wide kernel).
+/// Leaves the backend on auto-detection; callers hold [`backend_lock`].
+fn detected_wide() -> Option<ScanBackend> {
+    auto_scan_backend();
+    Some(scan_backend()).filter(|&b| b != ScanBackend::Swar)
+}
+
+/// Runs `property` under the forced SWAR backend, then under the detected
+/// wide backend when the host has one, holding [`backend_lock`] throughout.
+/// The backend in use is printed first, so a failure names it.
+fn under_each_backend(property: impl Fn()) {
+    let _guard = backend_lock();
+    let wide = detected_wide();
+    for backend in std::iter::once(ScanBackend::Swar).chain(wide) {
+        assert!(force_scan_backend(backend), "{backend:?} unavailable");
+        eprintln!("scan backend: {backend:?}");
+        property();
+    }
+    if wide.is_none() {
+        eprintln!("no wide scan backend on this host: ran under SWAR only");
+    }
+    auto_scan_backend();
+}
 
 /// A reader that hands out at most `chunk` bytes per `read` call, forcing
 /// every buffer-refill seam the bulk scanner has.
@@ -311,92 +351,98 @@ fn generate(seed: u64) -> String {
 
 #[test]
 fn random_documents_match_char_lexer() {
-    let mut total_events = 0usize;
-    for seed in 0..48 {
-        let doc = generate(seed);
-        total_events += reference(doc.as_bytes(), doc.len().max(1)).0.len();
-        assert_equivalent(doc.as_bytes(), &format!("seed {seed}"));
-    }
-    // Guard against the generator degenerating into trivial documents.
-    assert!(
-        total_events > 1_000,
-        "generator too weak: {total_events} events"
-    );
+    under_each_backend(|| {
+        let mut total_events = 0usize;
+        for seed in 0..48 {
+            let doc = generate(seed);
+            total_events += reference(doc.as_bytes(), doc.len().max(1)).0.len();
+            assert_equivalent(doc.as_bytes(), &format!("seed {seed}"));
+        }
+        // Guard against the generator degenerating into trivial documents.
+        assert!(
+            total_events > 1_000,
+            "generator too weak: {total_events} events"
+        );
+    });
 }
 
 #[test]
 fn edge_documents_match_char_lexer() {
-    let cases: &[&[u8]] = &[
-        b"",
-        b" \t\n ",
-        "\u{a0}\u{2003}".as_bytes(),
-        b"word",
-        b"<a></a>",
-        b"<a/>",
-        b"< a ></ a >",
-        b"<a b=\"c\">t</a>",
-        // lexical errors: empty names, unterminated constructs
-        b"<>",
-        b"</>",
-        b"< >",
-        b"<a><",
-        b"<a>text",
-        b"<a",
-        b"</a",
-        b"<a b=\"unclosed>",
-        b"<!-- never closed",
-        b"<!-- -- >still open",
-        b"<![CDATA[no end]]",
-        b"<?pi no end?",
-        b"<!DOCTYPE d [ <!ENTITY e \">\"> ",
-        b"<!DOCTYPE d [ unclosed subset >",
-        // quote/bracket interplay
-        b"<a x='>'>i</a>",
-        b"<a x=\"'\" y='\"'>.</a>",
-        b"<a x='a/>'></a>",
-        // self-closing variants
-        b"<a / >",
-        b"<a  />",
-        // directives adjacent to everything
-        b"<!--c--><a><?p?><![CDATA[x]]></a><!--t-->",
-        b"<![CDATA[]]]><a/>",
-        b"<![CDATA[]] >]]>",
-        // control characters inside text are token characters
-        b"<a>\x01\x02</a>",
-        // non-ASCII everywhere: names, text, attribute values, whitespace
-        "<é \u{a0}>\u{a0}𝄞\u{3000}汉</é>".as_bytes(),
-        "<𝄞note>x</𝄞note>".as_bytes(),
-        // invalid UTF-8: lone continuation, overlong, bad leading byte,
-        // truncated scalar mid-stream and at EOF — typed errors with the
-        // exact byte offset must agree with the incremental decoder.
-        b"<a>\x80</a>",
-        b"<a>\xc0\xaf</a>",
-        b"<a>\xff</a>",
-        b"<a>\xe2\x82</a>",
-        b"<a>\xe2\x82",
-        b"<a>\xf0\x9d\x84",
-        b"ok \xf0\x9d\x84\x9e bad \xed\xa0\x80 tail",
-        b"<t\xc3>",
-        b"<t a='\xf4\x90\x80\x80'>",
-    ];
-    for (i, case) in cases.iter().enumerate() {
-        assert_equivalent(case, &format!("edge case {i}"));
-    }
+    under_each_backend(|| {
+        let cases: &[&[u8]] = &[
+            b"",
+            b" \t\n ",
+            "\u{a0}\u{2003}".as_bytes(),
+            b"word",
+            b"<a></a>",
+            b"<a/>",
+            b"< a ></ a >",
+            b"<a b=\"c\">t</a>",
+            // lexical errors: empty names, unterminated constructs
+            b"<>",
+            b"</>",
+            b"< >",
+            b"<a><",
+            b"<a>text",
+            b"<a",
+            b"</a",
+            b"<a b=\"unclosed>",
+            b"<!-- never closed",
+            b"<!-- -- >still open",
+            b"<![CDATA[no end]]",
+            b"<?pi no end?",
+            b"<!DOCTYPE d [ <!ENTITY e \">\"> ",
+            b"<!DOCTYPE d [ unclosed subset >",
+            // quote/bracket interplay
+            b"<a x='>'>i</a>",
+            b"<a x=\"'\" y='\"'>.</a>",
+            b"<a x='a/>'></a>",
+            // self-closing variants
+            b"<a / >",
+            b"<a  />",
+            // directives adjacent to everything
+            b"<!--c--><a><?p?><![CDATA[x]]></a><!--t-->",
+            b"<![CDATA[]]]><a/>",
+            b"<![CDATA[]] >]]>",
+            // control characters inside text are token characters
+            b"<a>\x01\x02</a>",
+            // non-ASCII everywhere: names, text, attribute values, whitespace
+            "<é \u{a0}>\u{a0}𝄞\u{3000}汉</é>".as_bytes(),
+            "<𝄞note>x</𝄞note>".as_bytes(),
+            // invalid UTF-8: lone continuation, overlong, bad leading byte,
+            // truncated scalar mid-stream and at EOF — typed errors with the
+            // exact byte offset must agree with the incremental decoder.
+            b"<a>\x80</a>",
+            b"<a>\xc0\xaf</a>",
+            b"<a>\xff</a>",
+            b"<a>\xe2\x82</a>",
+            b"<a>\xe2\x82",
+            b"<a>\xf0\x9d\x84",
+            b"ok \xf0\x9d\x84\x9e bad \xed\xa0\x80 tail",
+            b"<t\xc3>",
+            b"<t a='\xf4\x90\x80\x80'>",
+        ];
+        for (i, case) in cases.iter().enumerate() {
+            assert_equivalent(case, &format!("edge case {i}"));
+        }
+    });
 }
 
 #[test]
 fn truncation_at_every_byte_offset() {
-    let doc = "<?xml v?><!DOCTYPE d [<!E \">\">]><a k=\"q>'\">é\u{a0}𝄞 w</a>\
-               <!--c--><b><![CDATA[x ]] y]]></b><c/>";
-    let bytes = doc.as_bytes();
-    for cut in 0..=bytes.len() {
-        let prefix = &bytes[..cut];
-        let expected = reference(prefix, prefix.len().max(1));
-        for chunk in [3, prefix.len().max(1)] {
-            let got = bulk_iter(prefix, chunk);
-            assert_eq!(got, expected, "truncation at {cut}, chunk={chunk}");
+    under_each_backend(|| {
+        let doc = "<?xml v?><!DOCTYPE d [<!E \">\">]><a k=\"q>'\">é\u{a0}𝄞 w</a>\
+                   <!--c--><b><![CDATA[x ]] y]]></b><c/>";
+        let bytes = doc.as_bytes();
+        for cut in 0..=bytes.len() {
+            let prefix = &bytes[..cut];
+            let expected = reference(prefix, prefix.len().max(1));
+            for chunk in [3, prefix.len().max(1)] {
+                let got = bulk_iter(prefix, chunk);
+                assert_eq!(got, expected, "truncation at {cut}, chunk={chunk}");
+            }
         }
-    }
+    });
 }
 
 /// A multi-byte scalar straddling the bulk scanner's *internal* window
@@ -404,23 +450,25 @@ fn truncation_at_every_byte_offset() {
 /// sequence must complete — or fail — exactly like the incremental decoder.
 #[test]
 fn multibyte_scalar_across_scan_window_seam() {
-    for shift in 0..8usize {
-        let mut doc = String::from("<pad>");
-        let fill = nwa_xml::scan::SCAN_CHUNK - doc.len() - shift;
-        doc.push_str(&"a".repeat(fill));
-        doc.push_str(" \u{1d11e}\u{a0}é tail</pad>");
-        assert_eq!(
-            bulk_iter(doc.as_bytes(), doc.len()),
-            reference(doc.as_bytes(), doc.len()),
-            "window seam shift {shift}"
-        );
-    }
-    // Same straddle, but the document ends mid-scalar: truncated-UTF-8
-    // error at the same offset the incremental decoder reports.
-    let mut doc = Vec::from(&b"<pad>"[..]);
-    doc.resize(nwa_xml::scan::SCAN_CHUNK - 2, b'a');
-    doc.extend_from_slice(&[0xf0, 0x9d, 0x84]);
-    assert_eq!(bulk_iter(&doc, doc.len()), reference(&doc, doc.len()));
+    under_each_backend(|| {
+        for shift in 0..8usize {
+            let mut doc = String::from("<pad>");
+            let fill = nwa_xml::scan::SCAN_CHUNK - doc.len() - shift;
+            doc.push_str(&"a".repeat(fill));
+            doc.push_str(" \u{1d11e}\u{a0}é tail</pad>");
+            assert_eq!(
+                bulk_iter(doc.as_bytes(), doc.len()),
+                reference(doc.as_bytes(), doc.len()),
+                "window seam shift {shift}"
+            );
+        }
+        // Same straddle, but the document ends mid-scalar: truncated-UTF-8
+        // error at the same offset the incremental decoder reports.
+        let mut doc = Vec::from(&b"<pad>"[..]);
+        doc.resize(nwa_xml::scan::SCAN_CHUNK - 2, b'a');
+        doc.extend_from_slice(&[0xf0, 0x9d, 0x84]);
+        assert_eq!(bulk_iter(&doc, doc.len()), reference(&doc, doc.len()));
+    });
 }
 
 /// The frozen (read-only alphabet) front end yields the identical stream
@@ -428,43 +476,44 @@ fn multibyte_scalar_across_scan_window_seam() {
 /// an alphabet that lacks a name.
 #[test]
 fn frozen_tokenizer_matches_mutable() {
-    for seed in 0..16 {
-        let doc = generate(seed);
-        let mut ab = Alphabet::new();
-        let expected = drain(ByteTokenizer::new(doc.as_bytes(), &mut ab));
-        for chunk in [1, 4, doc.len().max(1)] {
-            let got = drain(FrozenByteTokenizer::new(
-                SplitReader::new(doc.as_bytes(), chunk),
-                &ab,
-            ));
-            assert_eq!(got, expected, "frozen diverged: seed {seed}, chunk={chunk}");
+    under_each_backend(|| {
+        for seed in 0..16 {
+            let doc = generate(seed);
+            let mut ab = Alphabet::new();
+            let expected = drain(ByteTokenizer::new(doc.as_bytes(), &mut ab));
+            for chunk in [1, 4, doc.len().max(1)] {
+                let got = drain(FrozenByteTokenizer::new(
+                    SplitReader::new(doc.as_bytes(), chunk),
+                    &ab,
+                ));
+                assert_eq!(got, expected, "frozen diverged: seed {seed}, chunk={chunk}");
+            }
         }
-    }
 
-    let ab = Alphabet::from_names(["doc"]);
-    let err = drain(FrozenByteTokenizer::new(
-        &b"<doc><intruder/></doc>"[..],
-        &ab,
-    ));
-    assert_eq!(err.0.len(), 1, "call on <doc> precedes the failure");
-    let msg = err.1.expect("unknown name must fail");
-    let expected_err = format!(
-        "{:?}",
-        SaxError::Syntax(NestedWordError::UnknownSymbol {
-            name: "intruder".into()
-        })
-    );
-    assert_eq!(msg, expected_err);
+        let ab = Alphabet::from_names(["doc"]);
+        let err = drain(FrozenByteTokenizer::new(
+            &b"<doc><intruder/></doc>"[..],
+            &ab,
+        ));
+        assert_eq!(err.0.len(), 1, "call on <doc> precedes the failure");
+        let msg = err.1.expect("unknown name must fail");
+        let expected_err = format!(
+            "{:?}",
+            SaxError::Syntax(NestedWordError::UnknownSymbol {
+                name: "intruder".into()
+            })
+        );
+        assert_eq!(msg, expected_err);
+    });
 }
 
 // --------------------------------------------------------------------------
-// SIMD backend vs SWAR (feature `simd`)
+// Wide (SIMD) backend vs SWAR
 // --------------------------------------------------------------------------
 
 /// Iteration budget scaled by `NWA_PROP_ITERS`, mirroring the workspace
 /// property suites: the weekly deep CI job sets it to 10 to sweep ten
 /// times as many seeds through the same property.
-#[cfg(feature = "simd")]
 fn prop_iters(base: usize) -> usize {
     std::env::var("NWA_PROP_ITERS")
         .ok()
@@ -475,48 +524,39 @@ fn prop_iters(base: usize) -> usize {
 
 /// Tokenizes `doc` under both the forced SWAR backend and the forced wide
 /// backend, through both entry points, and asserts the outcomes (events
-/// *and* errors) are identical. Restores auto-detection before returning.
-#[cfg(feature = "simd")]
-fn assert_backends_agree(doc: &[u8], wide: nwa_xml::scan::ScanBackend, label: &str) {
-    use nwa_xml::scan::{auto_scan_backend, force_scan_backend, ScanBackend};
-
+/// *and* errors) are identical. Callers hold [`backend_lock`].
+fn assert_backends_agree(doc: &[u8], wide: ScanBackend, label: &str) {
     assert!(force_scan_backend(ScanBackend::Swar));
     let swar_iter = bulk_iter(doc, doc.len().max(1));
     let swar_fill = bulk_fill(doc, 7, 3);
     assert!(force_scan_backend(wide), "wide backend vanished mid-test");
     let wide_iter = bulk_iter(doc, doc.len().max(1));
     let wide_fill = bulk_fill(doc, 7, 3);
-    auto_scan_backend();
     assert_eq!(wide_iter, swar_iter, "{label}: iterator path diverged");
     assert_eq!(wide_fill, swar_fill, "{label}: fill path diverged");
 }
 
-/// With `simd` compiled in, the wide backend must be token-for-token and
+/// The wide backend must be token-for-token and
 /// error-for-error identical to the SWAR sweeps on the same bytes. The
 /// adversarial inputs are Prng documents whose token boundaries straddle
 /// the kernels' seams: leading whitespace of every length in `0..64`
 /// slides each document across the 64-byte classification blocks (and the
 /// 32-byte halves the AVX2 kernel loads and the 16-byte NEON lanes), and a
 /// text pad pushes a document across the 64 KiB scan-window seam at
-/// byte-granular shifts.
-///
-/// Forcing a backend is process-global, which is safe here: every other
-/// test in this binary checks scanner-vs-reference equivalence, a property
-/// that holds under either backend.
-#[cfg(feature = "simd")]
+/// byte-granular shifts. The test holds [`backend_lock`] while it flips
+/// the process-global backend.
 #[test]
 fn simd_matches_swar_token_for_token() {
-    use nwa_xml::scan::{auto_scan_backend, scan_backend, ScanBackend, SCAN_CHUNK};
+    use nwa_xml::scan::SCAN_CHUNK;
 
-    auto_scan_backend();
-    let wide = scan_backend();
-    if wide == ScanBackend::Swar {
-        // Feature compiled in but the host CPU has no wide backend (e.g. an
-        // x86 machine without AVX2): nothing to differentiate against. The
-        // suite still ran SWAR through every property above.
+    let _guard = backend_lock();
+    let Some(wide) = detected_wide() else {
+        // No wide backend on this host (e.g. an x86 machine without AVX2,
+        // or a target without a wide kernel): nothing to differentiate
+        // against. The suite still ran SWAR through every property above.
         eprintln!("skipping: no wide scan backend on this host");
         return;
-    }
+    };
 
     // Block seams: every alignment in 0..64 of every document.
     for seed in 0..prop_iters(6) as u64 {
@@ -549,4 +589,5 @@ fn simd_matches_swar_token_for_token() {
             );
         }
     }
+    auto_scan_backend();
 }

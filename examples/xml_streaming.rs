@@ -15,6 +15,7 @@ use nested_words_suite::nwa_xml::queries::{
     run_streaming_reader, run_streaming_text,
 };
 use nested_words_suite::nwa_xml::sax::{parse_document, to_xml};
+use nested_words_suite::nwa_xml::scan;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
 
@@ -114,10 +115,11 @@ fn main() {
     assert_eq!(from_compiled, incremental);
     let mb_s = (xml.len() as f64 * f64::from(reps)) / elapsed.as_secs_f64() / 1e6;
     println!(
-        "compiled dense-table run ({} bytes of tables): same verdict {}, {:.0} MB/s bytes-to-verdict",
+        "compiled dense-table run ({} bytes of tables): same verdict {}, {:.0} MB/s bytes-to-verdict on the {:?} scanner backend",
         compiled.table_bytes(),
         from_compiled.accepted,
-        mb_s
+        mb_s,
+        scan::scan_backend()
     );
 
     // The same events drive a nondeterministic automaton through the same
