@@ -16,15 +16,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nested_words_suite::nested_words::generate::{deep_word, random_nested_word, NestedWordConfig};
+use nested_words_suite::nested_words::rng::Prng;
 use nested_words_suite::nwa_xml::generate::{
     generate_deep_document, generate_document, DocumentConfig,
 };
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, open_depth_at_most_nwa, run_streaming, run_streaming_reader,
-    run_streaming_text,
+    run_streaming_text, EVENT_SLICE,
 };
 use nested_words_suite::nwa_xml::sax::parse_document;
-use nested_words_suite::nwa_xml::sax::to_xml;
+use nested_words_suite::nwa_xml::sax::{to_xml, FrozenByteTokenizer};
 use nested_words_suite::nwa_xml::scan;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
@@ -386,5 +387,87 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_streaming, bench_compiled);
+/// The E15c document decorated with markup that produces no events: an XML
+/// prolog, a comment before about one event in 64, and attributes on about
+/// one open tag in four — the shape of perfbench's `service_mix` documents,
+/// which sends the wide scanner's complex tokens down its scalar path.
+fn to_decorated_xml(doc: &NestedWord, ab: &Alphabet, seed: u64) -> String {
+    let mut rng = Prng::new(seed);
+    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+    for t in doc.to_tagged() {
+        if rng.below(64) == 0 {
+            out.push_str("<!-- generated: no events here -->");
+        }
+        let name = ab.name(t.symbol()).expect("generated symbols are named");
+        match t {
+            TaggedSymbol::Call(_) if rng.below(4) == 0 => {
+                out.push_str(&format!("<{name} id=\"n{}\" lang='en'>", rng.below(10_000)));
+            }
+            TaggedSymbol::Call(_) => out.push_str(&format!("<{name}>")),
+            TaggedSymbol::Return(_) => out.push_str(&format!("</{name}>")),
+            TaggedSymbol::Internal(_) => {
+                if !out.ends_with('>') && !out.ends_with('\n') {
+                    out.push(' ');
+                }
+                out.push_str(name);
+            }
+        }
+    }
+    out
+}
+
+/// Bytes → events alone, no engine: `FrozenByteTokenizer::fill` in
+/// `EVENT_SLICE` slices over the 1M-event E15c document, plain and
+/// decorated, each pinned to SWAR and again (`_simd`) on the detected wide
+/// backend. The layer row under `e15c_bytes_to_verdict`; not gated.
+fn bench_tokenize(c: &mut Criterion) {
+    let (ab, doc) = generate_document(
+        DocumentConfig {
+            events: 1_000_000,
+            max_depth: 32,
+            ..Default::default()
+        },
+        7,
+    );
+    let tokenize = |xml: &str| {
+        let mut tokenizer = FrozenByteTokenizer::new(xml.as_bytes(), &ab);
+        let mut buffer = Vec::with_capacity(EVENT_SLICE);
+        let mut events = 0usize;
+        loop {
+            buffer.clear();
+            tokenizer.fill(&mut buffer, EVENT_SLICE).unwrap();
+            if buffer.is_empty() {
+                return events;
+            }
+            events += buffer.len();
+        }
+    };
+    let mut group = c.benchmark_group("e15c_tokenize");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    for (form, xml) in [
+        ("plain", to_xml(&doc, &ab)),
+        ("decorated", to_decorated_xml(&doc, &ab, 11)),
+    ] {
+        assert_eq!(tokenize(&xml), doc.len());
+        group.throughput(Throughput::Bytes(xml.len() as u64));
+        assert!(scan::force_scan_backend(scan::ScanBackend::Swar));
+        group.bench_with_input(BenchmarkId::new(form, doc.len()), &xml, |b, xml| {
+            b.iter(|| tokenize(xml))
+        });
+        scan::auto_scan_backend();
+        if scan::scan_backend() != scan::ScanBackend::Swar {
+            group.bench_with_input(
+                BenchmarkId::new(&format!("{form}_simd"), doc.len()),
+                &xml,
+                |b, xml| b.iter(|| tokenize(xml)),
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_streaming, bench_compiled, bench_tokenize);
 criterion_main!(benches);

@@ -32,7 +32,7 @@
 //! [`parse_document`] are the batch conveniences on top, running the same
 //! lexer over `text.as_bytes()`.
 
-use crate::scan::ChunkWindow;
+use crate::scan::{ChunkWindow, ScanStats, Tapes};
 use nested_words::{Alphabet, NestedWord, NestedWordError, Symbol, TaggedSymbol, TaggedWord};
 use std::collections::VecDeque;
 use std::io;
@@ -154,7 +154,7 @@ pub(crate) struct LexerCore<N: ResolveName> {
     pub(crate) failed: bool,
     /// Direct-mapped memo of recent name resolutions (see
     /// [`LexerCore::resolve_bytes`]).
-    cache: Vec<NameCacheEntry>,
+    cache: Box<[NameCacheEntry; NAME_CACHE_SLOTS]>,
 }
 
 /// One slot of the name-resolution memo: the name's bytes zero-padded into
@@ -244,15 +244,14 @@ impl<N: ResolveName> LexerCore<N> {
             names,
             queued: VecDeque::new(),
             failed: false,
-            cache: vec![
-                NameCacheEntry {
+            cache: Box::new(
+                [NameCacheEntry {
                     w0: 0,
                     w1: 0,
                     len: EMPTY_SLOT,
                     sym: Symbol(0),
-                };
-                NAME_CACHE_SLOTS
-            ],
+                }; NAME_CACHE_SLOTS],
+            ),
         }
     }
 
@@ -277,51 +276,45 @@ impl<N: ResolveName> LexerCore<N> {
     pub(crate) fn resolve_bytes(&mut self, name: &[u8]) -> Result<Symbol, SaxError> {
         if name.len() <= 16 {
             let (w0, w1) = pack_name(name);
-            return self.resolve_prepacked(w0, w1, name);
+            if let (true, sym) = self.probe(w0, w1, name.len()) {
+                return Ok(sym);
+            }
+            return self.resolve_miss(w0, w1, name);
         }
         let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
         Ok(self.names.resolve(name)?)
     }
 
-    /// The cache probe of [`Self::resolve_bytes`] for a name of at most 16
-    /// bytes whose exact cache key — the `(w0, w1)` value [`pack_name`]
-    /// produces — the caller already holds. The wide fill path builds that
-    /// key from two masked word loads of its in-bounds window, so a hit
-    /// costs only the probe. Misses consult the policy and fill the slot.
-    #[inline]
-    pub(crate) fn resolve_prepacked(
-        &mut self,
-        w0: u64,
-        w1: u64,
-        name: &[u8],
-    ) -> Result<Symbol, SaxError> {
-        debug_assert!(name.len() <= 16);
-        debug_assert_eq!(pack_name(name), (w0, w1));
-        let len = name.len() as u32;
-        // Any mix is fine — a slot collision costs a policy call, not a
-        // wrong answer (the key compare below is exact).
-        let mix = (w0 ^ w1.rotate_left(29) ^ u64::from(len)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let slot = (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1);
-        let e = self.cache[slot];
-        if e.w0 == w0 && e.w1 == w1 && e.len == len {
-            return Ok(e.sym);
-        }
-        self.resolve_prepacked_miss(w0, w1, slot, name)
+    /// The memo slot of a packed key. Any mix is fine — a slot collision
+    /// costs a policy call, not a wrong answer (the key compare is exact).
+    #[inline(always)]
+    fn slot(w0: u64, w1: u64, len: usize) -> usize {
+        let mix = (w0 ^ w1.rotate_left(29) ^ len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (mix >> 56) as usize & (NAME_CACHE_SLOTS - 1)
     }
 
-    /// The policy-consulting tail of [`Self::resolve_prepacked`], kept out
-    /// of the inlined probe: per distinct name it runs once, while the
-    /// probe runs per event.
+    /// The memo probe alone, never consulting the policy: `(true, symbol)`
+    /// on an exact hit for the packed key `(w0, w1)` of a `len`-byte name —
+    /// the zero-padded little-endian words [`pack_name`] produces —
+    /// `(false, _)` otherwise. The wide fill calls it on every token with
+    /// no branch on the answer and hands misses to [`Self::resolve_bytes`]
+    /// afterwards; a `len` of 0 or above 16 never hits, since no such key
+    /// is stored.
+    #[inline(always)]
+    pub(crate) fn probe(&self, w0: u64, w1: u64, len: usize) -> (bool, Symbol) {
+        let e = self.cache[Self::slot(w0, w1, len)];
+        let hit = (e.w0 == w0) & (e.w1 == w1) & (e.len as usize == len);
+        (hit, e.sym)
+    }
+
+    /// The policy-consulting tail of [`Self::resolve_bytes`], kept out of
+    /// the inlined probe: per distinct name it runs once, while the probe
+    /// runs per event.
     #[cold]
-    fn resolve_prepacked_miss(
-        &mut self,
-        w0: u64,
-        w1: u64,
-        slot: usize,
-        name: &[u8],
-    ) -> Result<Symbol, SaxError> {
+    fn resolve_miss(&mut self, w0: u64, w1: u64, name: &[u8]) -> Result<Symbol, SaxError> {
         let len = name.len() as u32;
-        let name = std::str::from_utf8(name).expect("resolve_prepacked takes valid UTF-8");
+        let slot = Self::slot(w0, w1, name.len());
+        let name = std::str::from_utf8(name).expect("resolve_bytes takes valid UTF-8");
         let sym = self.names.resolve(name)?;
         self.cache[slot] = NameCacheEntry { w0, w1, len, sym };
         Ok(sym)
@@ -502,6 +495,14 @@ pub struct ByteTokenizer<R: io::Read, N: ResolveName> {
     /// An error met while lexing ahead: surfaced after `ready` drains, i.e.
     /// in exactly the position the per-event path would have yielded it.
     pub(crate) pending_err: Option<SaxError>,
+    /// The wide fill's stage-1 token tapes, reused across batches.
+    #[cfg_attr(
+        not(any(target_arch = "x86_64", target_arch = "aarch64")),
+        allow(dead_code)
+    )]
+    pub(crate) tapes: Tapes,
+    /// Run-local counters behind [`ByteTokenizer::stats`].
+    pub(crate) stats: ScanStats,
 }
 
 /// The serving-path tokenizer: [`ByteTokenizer`] against a **read-only**

@@ -1,41 +1,59 @@
-//! Bulk structural scanning of raw XML-ish bytes — the simdjson-style
-//! lexer behind [`ByteTokenizer`], and so behind every text and byte entry
-//! point of the crate.
+//! Bulk structural scanning of raw XML-ish bytes — the lexer behind
+//! [`ByteTokenizer`], and so behind every text and byte entry point of the
+//! crate.
 //!
 //! A char-at-a-time lexer pays several calls and a `String::push` per
 //! input byte, and that wall would dominate the bytes-in → verdict-out
 //! pipeline: the compiled engines decide hundreds of millions of events
-//! per second. This module moves every per-byte decision to a per-*run*
-//! decision, the way continuous-readout pipelines move validation from
-//! per-sample to per-chunk:
+//! per second. This module moves every per-byte decision to a per-block or
+//! per-token one:
 //!
 //! * bytes are pulled through a `ChunkWindow` — a reusable buffer of
 //!   [`SCAN_CHUNK`] bytes refilled from the reader and **UTF-8-validated a
 //!   chunk at a time** (an 8-byte-word ASCII fast path, the WHATWG table
 //!   only on non-ASCII runs), with a multi-byte sequence split across a
 //!   refill seam carried over and re-validated when its tail arrives;
-//! * the tokenizer's sweep methods then cover whole *runs* of the
-//!   validated window with unrolled byte loops keyed on the structural
-//!   set — `<`, `>`, quotes inside tags, the `-->` / `?>` / `]]>`
-//!   terminators — classifying text, tag bodies, CDATA sections,
-//!   comments, processing instructions and DOCTYPE internal subsets as
-//!   slices, not as characters;
+//! * on a CPU with a wide kernel (AVX2 on `x86_64`, NEON on `aarch64`), the
+//!   window is lexed in two stages per batch of up to 4 KiB, after simdjson
+//!   (Langdale & Lemire, arXiv:1902.08318). **Stage 1** classifies 64-byte
+//!   blocks into whitespace, `<` and `>` bitmasks and derives, with one-bit
+//!   carries between blocks, where every token starts and ends; it
+//!   flattens both into two offset tapes. **Stage 2** walks the tapes with
+//!   no dependency between tokens: it takes each token's kind from its
+//!   first two bytes, packs its name with two masked word loads, probes the
+//!   exact-key name memo, folds every check into one flag and writes the
+//!   event by index. A token the tapes cannot certify — attributes,
+//!   directives, non-ASCII, names over 16 bytes or not yet in the memo,
+//!   window seams — goes to the scalar `step_token`;
+//! * elsewhere, and as the reference the wide fill is tested against, the
+//!   portable SWAR fill is a loop of `step_token`, whose unrolled 8-byte
+//!   word sweeps cover whole *runs* keyed on the structural set — `<`, `>`,
+//!   quotes inside tags, the `-->` / `?>` / `]]>` terminators — classifying
+//!   text, tag bodies, CDATA sections, comments, processing instructions
+//!   and DOCTYPE internal subsets as slices, not as characters;
 //! * names are resolved straight from window slices through the
 //!   [`ResolveName`] policy and the event-building `LexerCore`, which both
-//!   the in-window sweeps and the seam-crossing general path share, so the
-//!   two agree by construction. `tests/sax_scan.rs` holds the whole lexer
+//!   fills and the seam-crossing general path share, so they agree by
+//!   construction. `tests/sax_scan.rs` holds the whole lexer
 //!   token-for-token, error-for-error and alphabet-for-alphabet equal to an
 //!   independent char-at-a-time reference under adversarial read
-//!   granularities.
+//!   granularities, on both backends and at every stage-1 seam.
 //!
 //! Invalid or truncated UTF-8 found by the chunk validator is *deferred*:
 //! the window simply ends at the last valid scalar, and the typed
 //! [`SaxError`] surfaces exactly when lexing reaches that offset — the same
 //! observable order as an incremental decoder, where a token in progress
 //! when the bad byte arrives is discarded in favor of the error.
+//!
+//! [`ByteTokenizer::stats`] reports a run's counters ([`ScanStats`]): bytes,
+//! events, the events the scalar paths lexed, and the backend.
 
 use crate::sax::{ByteTokenizer, LexerCore, ResolveName, SaxError};
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use nested_words::Symbol;
 use nested_words::{NestedWordError, TaggedSymbol};
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use std::hint::select_unpredictable;
 use std::io;
 
 /// Default size, in bytes, of the bulk scanning window: the unit reads are
@@ -218,6 +236,34 @@ pub enum ScanBackend {
     Neon,
 }
 
+/// A tokenizer's scanner counters ([`ByteTokenizer::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Input bytes consumed so far.
+    pub bytes: u64,
+    /// Events lexed so far (including any the per-event iterator has
+    /// buffered but not yet handed out).
+    pub events: u64,
+    /// Events lexed by the scalar paths: every event on the SWAR backend;
+    /// on a wide backend, those of tokens the tapes could not certify
+    /// (directives, attributes, non-ASCII, names over 16 bytes, unknown
+    /// names), window tails and seams.
+    pub scalar_tokens: u64,
+    /// The backend of the latest window fill (before the first fill, the
+    /// backend selected when the tokenizer was built).
+    pub backend: ScanBackend,
+}
+
+impl std::fmt::Display for ScanStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "scan.bytes {} scan.events {} scan.scalar_tokens {} scan.backend {:?}",
+            self.bytes, self.events, self.scalar_tokens, self.backend
+        )
+    }
+}
+
 /// The backend the next window fill will use. Unless a backend was forced,
 /// the CPU is probed once (AVX2 on `x86_64` via `is_x86_feature_detected!`,
 /// NEON unconditionally on `aarch64` where it is baseline, SWAR on every
@@ -308,16 +354,17 @@ mod backend {
     }
 }
 
-/// Wide structural classification — the simdjson stage-1 idea scoped to
-/// this scanner. One vector pass over a 64-byte block produces five
-/// bitmasks (ASCII whitespace, `<`, `>`, "breaks a simple tag body",
-/// non-ASCII) that the block fill loop then consumes with register bit
-/// tests — no per-byte loads, no per-token sweep setup. Only
-/// *classification* is vectorized: every tokenization decision, and every
-/// case the masks flag as complex (directives, attributes, non-ASCII,
-/// block/window seams), goes through the same scalar [`step_token`] the
-/// SWAR backend uses, which is how the backends stay equivalent by
-/// construction.
+/// Wide structural classification: the vector half of stage 1 of the
+/// two-stage wide fill. One vector pass over a 64-byte block produces four
+/// bitmasks (ASCII whitespace, `<`, `>`, "breaks a simple name");
+/// stage 1 ([`stage1`](super::stage1)) turns them into token tapes with
+/// scalar bit arithmetic, and stage 2 resolves names off the tapes. Only
+/// this module holds `unsafe` code: the intrinsics behind
+/// [`BlockClassifier::classify`] and the ASCII-run probe of the UTF-8
+/// validator. Everything the masks cannot certify (directives, attributes,
+/// non-ASCII, control characters, names over 16 bytes, window seams) goes
+/// through the same scalar [`step_token`](super::step_token) the SWAR
+/// backend uses, which is how the backends stay equivalent by construction.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(unsafe_code)]
 mod simd {
@@ -338,8 +385,6 @@ mod simd {
         /// `'`, `/`, or non-ASCII — exactly the interest set of
         /// [`find_tag_close`](super::find_tag_close) minus `>`.
         pub bad: u64,
-        /// Non-ASCII (bit 7 set).
-        pub high: u64,
     }
 
     /// A vector kernel producing [`BlockMasks`]. Implementations are
@@ -349,51 +394,6 @@ mod simd {
     pub(super) trait BlockClassifier: Copy {
         /// Classifies `data[at..at + BLOCK]`; panics if out of bounds.
         fn classify(self, data: &[u8], at: usize) -> BlockMasks;
-    }
-
-    /// An append cursor over a `Vec`'s spare capacity: the block fill
-    /// loop's spelling of `Vec::push` with the length held in a register
-    /// instead of written back per event. Construction reserves room for
-    /// `extra` pushes up front, so the per-event step is one store and an
-    /// increment — no capacity branch, no length store. Dropping the sink
-    /// (normally, on an error return, or on a `break` out of the loop)
-    /// publishes the final length, so events pushed before an error stay
-    /// visible, exactly like plain `push`.
-    pub(super) struct EventSink<'a, T: Copy> {
-        vec: &'a mut Vec<T>,
-        len: usize,
-    }
-
-    impl<'a, T: Copy> EventSink<'a, T> {
-        /// `extra` is the hard cap on pushes through this sink (the fill
-        /// budget); exceeding it is a debug-checked contract violation.
-        pub(super) fn new(vec: &'a mut Vec<T>, extra: usize) -> Self {
-            vec.reserve(extra);
-            let len = vec.len();
-            EventSink { vec, len }
-        }
-
-        #[inline(always)]
-        pub(super) fn push(&mut self, t: T) {
-            debug_assert!(self.len < self.vec.capacity());
-            // SAFETY: `new` reserved capacity for every permitted push,
-            // the write stays below that capacity (debug-asserted), and
-            // `T: Copy` means no drop obligations for `set_len` on Drop.
-            unsafe {
-                self.vec.as_mut_ptr().add(self.len).write(t);
-            }
-            self.len += 1;
-        }
-    }
-
-    impl<T: Copy> Drop for EventSink<'_, T> {
-        fn drop(&mut self) {
-            // SAFETY: `self.len` only grows past the pushes written above,
-            // each below the reserved capacity.
-            unsafe {
-                self.vec.set_len(self.len);
-            }
-        }
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -480,7 +480,6 @@ mod simd {
                 // one compare — the same union the SWAR sweeps build from
                 // `match_lt(w, 0x21) | (w & HIGHS)`.
                 let sub21 = _mm256_cmpgt_epi8(_mm256_set1_epi8(0x21), v);
-                let high = _mm256_cmpgt_epi8(_mm256_setzero_si256(), v);
                 let bad = _mm256_or_si256(
                     sub21,
                     _mm256_or_si256(
@@ -498,7 +497,6 @@ mod simd {
                 m.lt |= (_mm256_movemask_epi8(lt) as u32 as u64) << shift;
                 m.gt |= (_mm256_movemask_epi8(gt) as u32 as u64) << shift;
                 m.bad |= (_mm256_movemask_epi8(bad) as u32 as u64) << shift;
-                m.high |= (_mm256_movemask_epi8(high) as u32 as u64) << shift;
             }
             m
         }
@@ -584,7 +582,6 @@ mod simd {
             let mut lt = [vdupq_n_u8(0); 4];
             let mut gt = [vdupq_n_u8(0); 4];
             let mut bad = [vdupq_n_u8(0); 4];
-            let mut high = [vdupq_n_u8(0); 4];
             for lane in 0..4usize {
                 let v = vld1q_u8(data.as_ptr().add(at + 16 * lane));
                 let sp = vceqq_u8(v, vdupq_n_u8(b' '));
@@ -594,7 +591,6 @@ mod simd {
                 gt[lane] = vceqq_u8(v, vdupq_n_u8(b'>'));
                 let s = vreinterpretq_s8_u8(v);
                 let sub21 = vcltq_s8(s, vdupq_n_s8(0x21));
-                high[lane] = vcltq_s8(s, vdupq_n_s8(0));
                 bad[lane] = vorrq_u8(
                     sub21,
                     vorrq_u8(
@@ -611,7 +607,6 @@ mod simd {
                 lt: movemask4(lt[0], lt[1], lt[2], lt[3]),
                 gt: movemask4(gt[0], gt[1], gt[2], gt[3]),
                 bad: movemask4(bad[0], bad[1], bad[2], bad[3]),
-                high: movemask4(high[0], high[1], high[2], high[3]),
             }
         }
     }
@@ -999,23 +994,358 @@ fn step_token<N: ResolveName>(
     }
 }
 
-/// Packs a 1..=16-byte name starting at `from` into its exact cache key —
-/// the same `(w0, w1)` value `LexerCore`'s byte-loop packer produces, built
-/// from two raw word loads and a mask instead. Callers guarantee
-/// `from + 16 <= data.len()` (the block fill's fast region does by
-/// construction), so the overread-free loads stay in bounds.
+// --------------------------------------------------------------------------
+// The two-stage wide fill: block masks → token tapes → events
+// --------------------------------------------------------------------------
+
+/// Window bytes per stage-1 batch: 64 blocks. Both `u16` tapes and the
+/// complex-byte bitmap of a batch (≤ 2 × 8 KiB + 1 KiB) stay L1-resident
+/// while stage 2 walks them, and the per-batch setup amortizes over ~1k
+/// tokens at the corpus' ~4 bytes per event.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const BATCH: usize = 64 * simd::BLOCK;
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const _: () = assert!(
+    BATCH <= u16::MAX as usize
+        && COMPLEX_WORDS.is_power_of_two()
+        && COMPLEX_WORDS > BATCH / simd::BLOCK + 1
+);
+
+/// Bytes a batch keeps clear of the window end. A token that completes in a
+/// batch of `len` bytes starts at most at `len - 2`, so its name starts at
+/// most at `len`, and stage 2's two-word name load ends 16 bytes past that.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const BATCH_SLACK: usize = 16;
+
+/// Stage-1 output of the wide fill, reused across batches (grown on first
+/// use, so a tokenizer that never runs the wide fill allocates nothing).
+/// Offsets are relative to the batch's first byte.
+///
+/// `starts` holds every token start in ascending order, then one sentinel
+/// entry equal to the batch length; `ends` holds every exclusive token end.
+/// The two interleave by construction — exactly one end in each
+/// `(starts[k], starts[k + 1]]` — so `ends[k]` closes the token that
+/// `starts[k]` opens, and the number of ends is the number of tokens that
+/// complete inside the batch.
+#[derive(Debug)]
+#[cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code)
+)]
+pub(crate) struct Tapes {
+    starts: Vec<u16>,
+    ends: Vec<u16>,
+    /// The `bad` mask of each block of the batch: one bit per byte that
+    /// bars a name from the tape path (see [`simd::BlockMasks`]). Twice the
+    /// blocks of a batch, so stage 2 reads two words at an index masked
+    /// into range with no bounds check.
+    complex: [u64; COMPLEX_WORDS],
+    /// The batch the tapes describe while it still has tokens to hand out,
+    /// so that a fill resuming inside it (after a directive went to the
+    /// general path, or after a full `fill`) does not classify it again.
+    batch: Option<TapeBatch>,
+}
+
+/// Where a stage-1 batch sits in the window buffer, and its counts.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code)
+)]
+struct TapeBatch {
+    /// The window's `offset_base` at classification. It changes exactly
+    /// when the buffer is compacted, which moves the batch's bytes.
+    offset_base: usize,
+    /// Buffer index of the batch's first byte.
+    at: usize,
+    /// Bytes classified.
+    len: usize,
+    /// Token starts on the tape (not counting the sentinel).
+    starts: usize,
+    /// Tokens that complete in the batch: the number of ends.
+    tokens: usize,
+    /// Stage 1's verdict that a name may hold a `bad` byte.
+    dirty: bool,
+    /// A token of the batch failed its checks: the rest of the batch goes
+    /// token by token.
+    failed: bool,
+    /// Tape index of the first token not yet handed out.
+    next: usize,
+}
+
+/// Length of [`Tapes::complex`]: a power of two past the batch's blocks
+/// plus the word after the last one.
+const COMPLEX_WORDS: usize = 128;
+
+impl Default for Tapes {
+    fn default() -> Self {
+        Tapes {
+            starts: Vec::new(),
+            ends: Vec::new(),
+            complex: [0; COMPLEX_WORDS],
+            batch: None,
+        }
+    }
+}
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+impl Tapes {
+    /// Grows the tapes for a batch of `len` bytes. The flatten writes up to
+    /// 16 slots past the last real entry, so every tape keeps 64 of slack.
+    fn reserve(&mut self, len: usize) {
+        if self.starts.len() < len + 64 {
+            self.starts.resize(len + 64, 0);
+            self.ends.resize(len + 64, 0);
+        }
+    }
+}
+
+/// Appends the offsets of the set bits of `bits` (plus `base`) to `tape`
+/// at `idx` and returns the new length: the simdjson flatten, eight
+/// unconditional writes per group of eight bits and a popcount advance, so
+/// the loop does not branch per bit. Slots written past the new length
+/// hold garbage that the next flatten overwrites.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline(always)]
-fn pack_short(data: &[u8], from: usize, len: usize) -> (u64, u64) {
-    debug_assert!((1..=16).contains(&len) && from + 16 <= data.len());
-    let w0 = load_word(data, from);
-    if len <= 8 {
-        // `!0 >> (64 - 8·len)` keeps the low `len` lanes; len = 8 is the
-        // identity shift, so no branch for it.
-        return (w0 & (!0u64 >> (64 - 8 * len)), 0);
+fn flatten(tape: &mut [u16], idx: usize, base: u16, mut bits: u64) -> usize {
+    let count = bits.count_ones() as usize;
+    for slot in &mut tape[idx..idx + 8] {
+        *slot = base + bits.trailing_zeros() as u16;
+        bits &= bits.wrapping_sub(1);
     }
-    let w1 = load_word(data, from + 8);
-    (w0, w1 & (!0u64 >> (128 - 8 * len)))
+    if count > 8 {
+        for slot in &mut tape[idx + 8..idx + 16] {
+            *slot = base + bits.trailing_zeros() as u16;
+            bits &= bits.wrapping_sub(1);
+        }
+        let mut i = idx + 16;
+        while bits != 0 {
+            tape[i] = base + bits.trailing_zeros() as u16;
+            bits &= bits.wrapping_sub(1);
+            i += 1;
+        }
+    }
+    idx + count
+}
+
+/// Classifies the block at `at`; a block running past the end of `data`
+/// (only the last one of a window) is classified from a copy padded with
+/// spaces.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+fn classify_block<C: simd::BlockClassifier>(cls: C, data: &[u8], at: usize) -> simd::BlockMasks {
+    use simd::BLOCK;
+    if at + BLOCK <= data.len() {
+        return cls.classify(data, at);
+    }
+    let mut pad = [b' '; BLOCK];
+    let tail = &data[at..];
+    pad[..tail.len()].copy_from_slice(tail);
+    cls.classify(&pad, 0)
+}
+
+/// Stage 1: classifies `batch[..len]` block by block and flattens its token
+/// boundaries into `tapes`, returning the number of starts and of ends.
+///
+/// A token starts at every `<` and at every other non-whitespace byte that
+/// follows whitespace or `>`; it ends after a `>`, or at whitespace or `<`
+/// that follows a byte other than whitespace and `>`. Per block that is
+/// `lt | nonws & (prev_ws | prev_gt)` and
+/// `prev_gt | (ws | lt) & prev_nonws & !prev_gt`, where each `prev_*` mask
+/// is its class shifted up one bit with the previous block's top bit
+/// carried in. The batch opens as if after whitespace: it always begins at
+/// a token boundary.
+///
+/// The third result says whether any name in the batch may hold a `bad`
+/// byte: one that is not whitespace and does not directly follow `<` (a
+/// byte right after `<` is [`tape_token`]'s to judge). When none does,
+/// stage 2 skips the per-token range test on [`Tapes::complex`].
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+fn stage1<C: simd::BlockClassifier>(
+    cls: C,
+    batch: &[u8],
+    len: usize,
+    tapes: &mut Tapes,
+) -> (usize, usize, bool) {
+    use simd::BLOCK;
+    tapes.reserve(len);
+    let Tapes {
+        starts,
+        ends,
+        complex,
+        ..
+    } = tapes;
+    let (mut ns, mut ne) = (0, 0);
+    let (mut carry_ws, mut carry_gt, mut carry_nonws, mut carry_lt) = (1u64, 0u64, 0u64, 0u64);
+    let mut dirty = 0u64;
+    for (blk, cx) in complex[..len.div_ceil(BLOCK)].iter_mut().enumerate() {
+        let at = blk * BLOCK;
+        let m = classify_block(cls, batch, at);
+        let valid = if len - at >= BLOCK {
+            !0
+        } else {
+            !(!0u64 << (len - at))
+        };
+        let nonws = !m.ws;
+        let prev_ws = (m.ws << 1) | carry_ws;
+        let prev_gt = (m.gt << 1) | carry_gt;
+        let prev_nonws = (nonws << 1) | carry_nonws;
+        let prev_lt = (m.lt << 1) | carry_lt;
+        carry_ws = m.ws >> 63;
+        carry_gt = m.gt >> 63;
+        carry_nonws = nonws >> 63;
+        carry_lt = m.lt >> 63;
+        let start = (m.lt | (nonws & (prev_ws | prev_gt))) & valid;
+        let end = (prev_gt | ((m.ws | m.lt) & prev_nonws & !prev_gt)) & valid;
+        *cx = m.bad;
+        dirty |= m.bad & nonws & !prev_lt & valid;
+        ns = flatten(starts, ns, at as u16, start);
+        ne = flatten(ends, ne, at as u16, end);
+    }
+    starts[ns] = len as u16;
+    (ns, ne, dirty != 0)
+}
+
+/// [`BYTE_CLASS`] bit: ASCII whitespace or `<`, the bytes a text token
+/// ends at.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const TEXT_END: u8 = 1;
+/// [`BYTE_CLASS`] bit: a byte that bars a tag from the tapes when it
+/// directly follows `<`: `!` and `?` (a directive) and every `bad` byte
+/// but `/` (below 0x21, `"`, `'`, non-ASCII).
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const BAD_TAG_LEAD: u8 = 2;
+
+/// The byte classes stage 2 tests, one table load per test.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const BYTE_CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'\t'..=b'\r' | b' ' => TEXT_END | BAD_TAG_LEAD,
+            b'<' => TEXT_END,
+            0..=0x20 | b'!' | b'?' | b'"' | b'\'' | 0x80.. => BAD_TAG_LEAD,
+            _ => 0,
+        };
+        b += 1;
+    }
+    class
+};
+
+/// Masks keeping the first `len` bytes of a two-word little-endian name
+/// load, indexed by `len` (0..=16; entry 17 stands for every longer name
+/// and keeps nothing). Same key as `LexerCore`'s byte-loop packer.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const NAME_MASKS: [(u64, u64); 18] = {
+    let mut masks = [(0u64, 0u64); 18];
+    let mut len = 1;
+    while len <= 16 {
+        masks[len] = if len <= 8 {
+            (!0u64 >> (64 - 8 * len), 0)
+        } else {
+            (!0u64, !0u64 >> (128 - 8 * len))
+        };
+        len += 1;
+    }
+    masks
+};
+
+/// Stage 2 for one tape token `batch[s..e]`, whose successor starts at
+/// `next`: the event the token stands for, and whether it may be emitted
+/// as is. The kind comes from the first two bytes, the name is packed from
+/// two word loads and the length-indexed mask, and the memo probe never
+/// consults the policy. Every check — `s < e <= next`; a tag ends in `>`
+/// and is no directive; text ends at ASCII whitespace or `<`; the name is
+/// 1..=16 bytes with no `bad` byte; the probe hit — lands in one flag, so
+/// the caller's loop has no branch that depends on the bytes. A passing
+/// token is exactly the token [`step_token`] would lex from any position
+/// in the ASCII whitespace before `s`: a simple tag or a plain text run.
+/// `CLEAN` skips the range test on `complex` for a batch that stage 1
+/// found free of `bad` name bytes.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+fn tape_token<N: ResolveName, const CLEAN: bool>(
+    core: &LexerCore<N>,
+    batch: &[u8],
+    complex: &[u64; COMPLEX_WORDS],
+    s: usize,
+    e: usize,
+    next: usize,
+) -> (TaggedSymbol, bool) {
+    let c1 = batch[s + 1];
+    let tag = batch[s] == b'<';
+    let close = tag & (c1 == b'/');
+    let from = s + usize::from(tag) + usize::from(close);
+    // Every end lies past the batch's first start, so `e >= 1`.
+    let len = (e - usize::from(tag)).wrapping_sub(from).min(17);
+    let tag_ok = (batch[e - 1] == b'>') & (BYTE_CLASS[usize::from(c1)] & BAD_TAG_LEAD == 0);
+    let text_ok = BYTE_CLASS[usize::from(batch[e])] & TEXT_END != 0;
+    let (m0, m1) = NAME_MASKS[len];
+    let w0 = load_word(batch, from) & m0;
+    let w1 = load_word(batch, from + 8) & m1;
+    let cx = if CLEAN {
+        0
+    } else {
+        let word = from / 64;
+        let pair = u128::from(complex[word % COMPLEX_WORDS])
+            | (u128::from(complex[(word + 1) % COMPLEX_WORDS]) << 64);
+        (pair >> (from % 64)) as u64 & !(!0u64 << len)
+    };
+    let (hit, sym) = core.probe(w0, w1, len);
+    // Tags and text alternate with no pattern a predictor could learn, so
+    // the kind picks its check and its event by select, never by branch.
+    let ok = (s < e)
+        & (e <= next)
+        & select_unpredictable(tag, tag_ok, text_ok)
+        & (len.wrapping_sub(1) < 16)
+        & (cx == 0)
+        & hit;
+    let event = select_unpredictable(
+        tag,
+        select_unpredictable(close, TaggedSymbol::Return(sym), TaggedSymbol::Call(sym)),
+        TaggedSymbol::Internal(sym),
+    );
+    (event, ok)
+}
+
+/// The branch-free pass of stage 2 over tape tokens `k0..k0 + out.len()`:
+/// writes the event of token `k0 + i` into `out[i]` and returns how many
+/// leading tokens passed their checks. Within a group of 16 tokens nothing
+/// branches on the bytes; the pass stops after the first group holding a
+/// failure, so the work thrown away stays below one group.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+fn stage2<N: ResolveName, const CLEAN: bool>(
+    core: &LexerCore<N>,
+    batch: &[u8],
+    tapes: &Tapes,
+    k0: usize,
+    out: &mut [TaggedSymbol],
+) -> usize {
+    let t = out.len();
+    let starts = &tapes.starts[k0..=k0 + t];
+    let ends = &tapes.ends[k0..k0 + t];
+    let mut passed = t;
+    let mut k = 0;
+    while k < t && passed == t {
+        let end = t.min(k + 16);
+        let tokens = starts[k..=end].windows(2).zip(&ends[k..end]);
+        for (i, (slot, (s, &e))) in out[k..end].iter_mut().zip(tokens).enumerate() {
+            let (event, ok) = tape_token::<N, CLEAN>(
+                core,
+                batch,
+                &tapes.complex,
+                s[0] as usize,
+                e as usize,
+                s[1] as usize,
+            );
+            *slot = event;
+            passed = passed.min(if ok { t } else { k + i });
+        }
+        k = end;
+    }
+    passed
 }
 
 impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
@@ -1029,6 +1359,24 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
             ready: Vec::new(),
             ready_pos: 0,
             pending_err: None,
+            tapes: Tapes::default(),
+            stats: ScanStats {
+                bytes: 0,
+                events: 0,
+                scalar_tokens: 0,
+                backend: scan_backend(),
+            },
+        }
+    }
+
+    /// The run's scanner counters so far: bytes consumed, events lexed,
+    /// how many of those the scalar paths lexed, and the backend of the
+    /// latest window fill. The counters are plain fields bumped once per
+    /// `fill` call or per scalar fallback, never per event.
+    pub fn stats(&self) -> ScanStats {
+        ScanStats {
+            bytes: self.window.abs_offset() as u64,
+            ..self.stats
         }
     }
 
@@ -1086,9 +1434,19 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
         if self.core.failed {
             return Ok(());
         }
+        let before = out.len();
+        let lexed = self.lex_events(out, max);
+        self.stats.events += (out.len() - before) as u64;
+        lexed
+    }
+
+    /// The lexing loop of [`Self::fill`]: window sweeps, with the general
+    /// path for whatever a window cannot decide.
+    fn lex_events(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<(), SaxError> {
         loop {
             while let Some(t) = self.core.queued.pop_front() {
                 out.push(t);
+                self.stats.scalar_tokens += 1;
                 if out.len() >= max {
                     return Ok(());
                 }
@@ -1102,7 +1460,10 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
             // The window could not decide the next token: grow-and-lex it
             // on the general path, then resume sweeping.
             match self.next_event()? {
-                Some(t) => out.push(t),
+                Some(t) => {
+                    out.push(t);
+                    self.stats.scalar_tokens += 1;
+                }
                 None => return Ok(()),
             }
         }
@@ -1114,21 +1475,27 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
     /// `Ok(true)` when `out` reached `max` (`Ok(false)` hands the seam to
     /// the caller's slow path). Tag bodies and text tokens are located with
     /// the word-at-a-time sweeps of [`find_tag_close`] / [`find_text_end`]
-    /// (or, on the [`scan_backend`]-selected wide backend, with 64-byte
-    /// block masks) and classified byte-level
+    /// (or, on the [`scan_backend`]-selected wide backend, from 64-byte
+    /// block masks flattened into token tapes) and classified byte-level
     /// ([`LexerCore::tag_event_bytes`](crate::sax::LexerCore),
     /// `resolve_bytes`), so the common path touches each input byte once in
     /// a word or vector and never re-walks a token as chars.
     fn fill_window(&mut self, out: &mut Vec<TaggedSymbol>, max: usize) -> Result<bool, SaxError> {
         #[cfg(target_arch = "x86_64")]
         if let Some(kernel) = simd::Avx2::active() {
+            self.stats.backend = ScanBackend::Avx2;
             return self.fill_window_blocks(kernel, out, max);
         }
         #[cfg(target_arch = "aarch64")]
         if let Some(kernel) = simd::Neon::active() {
+            self.stats.backend = ScanBackend::Neon;
             return self.fill_window_blocks(kernel, out, max);
         }
-        self.fill_window_swar(out, max)
+        self.stats.backend = ScanBackend::Swar;
+        let before = out.len();
+        let full = self.fill_window_swar(out, max);
+        self.stats.scalar_tokens += (out.len() - before) as u64;
+        full
     }
 
     /// The portable backend of [`Self::fill_window`]: a straight loop of
@@ -1163,17 +1530,20 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
         Ok(full)
     }
 
-    /// The wide backend of [`Self::fill_window`]: classifies the window in
-    /// 64-byte blocks ([`simd::BlockClassifier`]) and consumes the common
-    /// tokens — ASCII whitespace, simple tags, plain text runs — with
-    /// register bit tests over the block masks, several tokens per
-    /// classification. Anything else (directives, attribute-laden tags,
-    /// non-ASCII bytes, tokens leaving the fast region, the window tail)
-    /// falls through to exactly one scalar [`step_token`] and the loop
-    /// resumes — so every observable decision is either "trivially the
-    /// same token the SWAR sweeps find" (simple-body certification comes
-    /// from the `bad` mask, the very interest set of [`find_tag_close`])
-    /// or literally the same code.
+    /// The wide backend of [`Self::fill_window`], in two stages per batch
+    /// of up to [`BATCH`] window bytes. Stage 1 ([`stage1`]) turns the
+    /// block masks into token-start and token-end tapes. Stage 2
+    /// ([`stage2`]) walks the tapes with no dependency between tokens: each
+    /// event is written by index into `out`, sized in advance, and every
+    /// check lands in one flag per token. The passing prefix of the pass is
+    /// kept, and the rest of the batch goes token by token: a token that
+    /// passes is pushed, one that fails goes to the scalar [`step_token`],
+    /// and the tape cursor then skips past the position it reached — so a
+    /// decorated document pays per complex token, not per batch. A batch
+    /// survives a return to the caller (a full `out`, or a directive handed
+    /// to the general path) and is resumed, not classified again. The
+    /// window tail and tokens longer than a batch go to [`step_token`] as
+    /// well.
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
     fn fill_window_blocks<C: simd::BlockClassifier>(
         &mut self,
@@ -1181,166 +1551,150 @@ impl<R: io::Read, N: ResolveName> ByteTokenizer<R, N> {
         out: &mut Vec<TaggedSymbol>,
         max: usize,
     ) -> Result<bool, SaxError> {
-        use simd::BLOCK;
         let base = self.window.abs_offset();
-        let data: &[u8] = &self.window.buf[self.window.start..self.window.end];
+        let (start, offset_base) = (self.window.start, self.window.offset_base);
+        let buf: &[u8] = &self.window.buf[..self.window.end];
+        let data = &buf[start..];
         let n = data.len();
         let mut pos = 0usize;
         let mut budget = max.saturating_sub(out.len());
-        // The fast region keeps one whole block *and* the 16-byte
-        // packed-name loads in bounds; the short window tail (and any
-        // window shorter than a block) runs scalar.
-        let fast_end = n.saturating_sub(BLOCK + 32);
-        // One-sided spelling of `wide && pos <= fast_end`: a window too
-        // short for the fast region gets a limit of 0, one comparison per
-        // token instead of two.
-        let fast_limit = if n >= BLOCK + 32 { fast_end + 1 } else { 0 };
-        // Current block base. The sentinel keeps `pos.wrapping_sub(bb)` at
-        // `pos + BLOCK + 1 >= BLOCK` for every reachable `pos`, so the first
-        // fast-loop iteration always classifies a real block.
-        let mut bb = usize::MAX - BLOCK;
-        let mut m = simd::BlockMasks::default();
-        let full = 'outer: loop {
+        let mut live = self.tapes.batch.take();
+        let full = 'batches: loop {
             if budget == 0 {
                 break true;
             }
-            // The sink scopes the fast loop: its drop publishes the final
-            // length (on every exit, including error returns and the
-            // budget break) before the scalar arm touches `out` directly.
-            {
-                let mut sink = simd::EventSink::new(out, budget);
-                while pos < fast_limit {
-                    if pos.wrapping_sub(bb) >= BLOCK {
-                        bb = pos;
-                        m = cls.classify(data, bb);
-                    }
-                    // Inter-token whitespace, straight off the ws mask.
-                    let non_ws = !m.ws & ((!0u64) << (pos - bb));
-                    if non_ws == 0 {
-                        pos = bb + BLOCK;
-                        continue;
-                    }
-                    let s = bb + non_ws.trailing_zeros() as usize;
-                    let rs = s - bb;
-                    // The isolated lowest bit doubles as the `s` bit test —
-                    // cheaper than a variable shift per class.
-                    let sbit = non_ws & non_ws.wrapping_neg();
-                    if m.high & sbit != 0 {
-                        // Unicode whitespace or a multi-byte token: scalar.
-                        pos = s;
-                        break;
-                    }
-                    if m.lt & sbit != 0 {
-                        // A tag. (`s + 1 < n` because `s <= fast_end`.)
-                        let lead = data[s + 1];
-                        if lead == b'!' || lead == b'?' {
-                            pos = s;
-                            break; // directive: stateful slow path
-                        }
-                        let from = if lead == b'/' { s + 2 } else { s + 1 };
-                        if from >= bb + BLOCK {
-                            bb = s;
-                            m = cls.classify(data, bb);
-                        }
-                        let mut stop = (m.gt | m.bad) & ((!0u64) << (from - bb));
-                        if stop == 0 {
-                            // The body crosses the block: re-anchor on the name.
-                            if from > fast_end {
-                                pos = s;
-                                break;
-                            }
-                            bb = from;
-                            m = cls.classify(data, bb);
-                            stop = m.gt | m.bad;
-                            if stop == 0 {
-                                pos = s;
-                                break; // a > 64-byte body: the word sweeps own it
-                            }
-                        }
-                        let close = bb + stop.trailing_zeros() as usize;
-                        let cbit = stop & stop.wrapping_neg();
-                        if m.bad & cbit != 0 || close == from {
-                            pos = s;
-                            break; // attributes/quotes/self-closing/`<>`: scalar
-                        }
-                        let name = &data[from..close];
-                        let resolved = if name.len() <= 16 {
-                            let (w0, w1) = pack_short(data, from, name.len());
-                            self.core.resolve_prepacked(w0, w1, name)
-                        } else {
-                            self.core.resolve_bytes(name)
-                        };
-                        match resolved {
-                            Ok(sym) => sink.push(if lead == b'/' {
-                                TaggedSymbol::Return(sym)
-                            } else {
-                                TaggedSymbol::Call(sym)
-                            }),
-                            Err(e) => {
-                                self.window.consume(s);
-                                return Err(e);
-                            }
-                        }
-                        budget -= 1;
-                        pos = close + 1;
-                        if budget == 0 {
-                            break 'outer true;
-                        }
-                        continue;
-                    }
-                    let mut cand = (m.ws | m.lt | m.high) & ((!1u64) << rs);
-                    loop {
-                        if cand != 0 {
-                            break;
-                        }
-                        let next = bb + BLOCK;
-                        if next > fast_end {
-                            break; // may outrun the fast region
-                        }
-                        bb = next;
-                        m = cls.classify(data, bb);
-                        cand = m.ws | m.lt | m.high;
-                    }
-                    let cbit = cand & cand.wrapping_neg();
-                    if cand == 0 || m.high & cbit != 0 {
-                        pos = s;
-                        break;
-                    }
-                    let close = bb + cand.trailing_zeros() as usize;
-                    let text = &data[s..close];
-                    let resolved = if text.len() <= 16 {
-                        let (w0, w1) = pack_short(data, s, text.len());
-                        self.core.resolve_prepacked(w0, w1, text)
+            // Resume the live batch if it covers `pos`. Its tapes agree
+            // with the lexer at any token boundary on an ASCII byte (see
+            // below), so the cursor just skips to the next start.
+            let resumable = |b: &TapeBatch| {
+                b.offset_base == offset_base
+                    && (b.at..b.at + b.len).contains(&(start + pos))
+                    && data[pos] < 0x80
+            };
+            let mut b = match live.filter(resumable) {
+                Some(b) => b,
+                None => {
+                    let len = n.saturating_sub(BATCH_SLACK + pos).min(BATCH);
+                    let (starts, tokens, dirty) = if len > 0 {
+                        stage1(cls, &data[pos..], len, &mut self.tapes)
                     } else {
-                        self.core.resolve_bytes(text)
+                        (0, 0, false)
                     };
-                    match resolved {
-                        Ok(sym) => sink.push(TaggedSymbol::Internal(sym)),
-                        Err(e) => {
-                            self.window.consume(s);
-                            return Err(e);
-                        }
+                    if tokens == 0 && starts == 0 && len > 0 {
+                        pos += len; // whitespace only
+                        continue;
                     }
-                    budget -= 1;
-                    pos = close;
-                    if budget == 0 {
-                        break 'outer true;
+                    TapeBatch {
+                        offset_base,
+                        at: start + pos,
+                        len,
+                        starts,
+                        tokens,
+                        dirty,
+                        failed: false,
+                        next: 0,
                     }
                 }
+            };
+            live = None;
+            if b.tokens == 0 {
+                // The window tail, or a token longer than a batch.
+                let before = out.len();
+                match step_token(&mut self.core, data, base, pos, out, &mut budget) {
+                    StepOutcome::Emitted(next) => pos = next,
+                    StepOutcome::Window(consumed) => {
+                        pos = consumed;
+                        break false;
+                    }
+                    StepOutcome::Fail(e, at) => {
+                        self.window.consume(at);
+                        return Err(e);
+                    }
+                }
+                self.stats.scalar_tokens += (out.len() - before) as u64;
+                continue;
             }
-            // Scalar arm: the window tail, plus whatever the masks flagged.
-            match step_token(&mut self.core, data, base, pos, out, &mut budget) {
-                StepOutcome::Emitted(next) => pos = next,
-                StepOutcome::Window(consumed) => {
-                    pos = consumed;
-                    break false;
+            let batch = &buf[b.at..];
+            let tapes = &self.tapes;
+            let (st, en) = (&tapes.starts, &tapes.ends);
+            // The tape cursor: the first start at or after `pos`.
+            let cursor = |mut k: usize, pos: usize| {
+                while k < b.starts && (st[k] as usize) < start + pos - b.at {
+                    k += 1;
                 }
-                StepOutcome::Fail(e, at) => {
-                    self.window.consume(at);
-                    return Err(e);
+                k
+            };
+            let mut k = cursor(b.next, pos);
+            while k < b.tokens {
+                if budget == 0 {
+                    live = Some(TapeBatch { next: k, ..b });
+                    break 'batches true;
                 }
+                if !b.failed {
+                    // The branch-free pass over the rest of the batch.
+                    let t = (b.tokens - k).min(budget);
+                    let len0 = out.len();
+                    out.resize(len0 + t, TaggedSymbol::Internal(Symbol(0)));
+                    let passed = if b.dirty {
+                        stage2::<N, false>(&self.core, batch, tapes, k, &mut out[len0..])
+                    } else {
+                        stage2::<N, true>(&self.core, batch, tapes, k, &mut out[len0..])
+                    };
+                    out.truncate(len0 + passed);
+                    budget -= passed;
+                    k += passed;
+                    if passed > 0 {
+                        pos = b.at + en[k - 1] as usize - start;
+                    }
+                    if passed == t {
+                        continue;
+                    }
+                    b.failed = true;
+                } else {
+                    let (event, ok) = tape_token::<N, false>(
+                        &self.core,
+                        batch,
+                        &tapes.complex,
+                        st[k] as usize,
+                        en[k] as usize,
+                        st[k + 1] as usize,
+                    );
+                    if ok {
+                        out.push(event);
+                        budget -= 1;
+                        pos = b.at + en[k] as usize - start;
+                        k += 1;
+                        continue;
+                    }
+                }
+                // Token `k` failed: the scalar step lexes whatever starts
+                // at `pos`, which may span several tape tokens.
+                let before = out.len();
+                match step_token(&mut self.core, data, base, pos, out, &mut budget) {
+                    StepOutcome::Emitted(next) => pos = next,
+                    StepOutcome::Window(consumed) => {
+                        pos = consumed;
+                        live = Some(TapeBatch { next: k, ..b });
+                        break 'batches false;
+                    }
+                    StepOutcome::Fail(e, at) => {
+                        self.window.consume(at);
+                        return Err(e);
+                    }
+                }
+                self.stats.scalar_tokens += (out.len() - before) as u64;
+                // A token the lexer ended is followed by `>`'s successor or
+                // by a delimiter. On an ASCII byte the tapes agree: the
+                // next start is the next token. Text that ended at Unicode
+                // whitespace ran on through it in the masks, so the batch
+                // is classified again from here.
+                if data.get(pos).is_some_and(|&b| b >= 0x80) {
+                    continue 'batches;
+                }
+                k = cursor(k, pos);
             }
         };
+        self.tapes.batch = live;
         self.window.consume(pos);
         Ok(full)
     }

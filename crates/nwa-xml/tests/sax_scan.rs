@@ -591,3 +591,322 @@ fn simd_matches_swar_token_for_token() {
     }
     auto_scan_backend();
 }
+
+// --------------------------------------------------------------------------
+// Seams of the wide fill's two stages
+// --------------------------------------------------------------------------
+
+/// Bytes per stage-1 batch of the wide fill (64 blocks of 64 bytes).
+const BATCH: usize = 4096;
+
+/// Plain tokens around copies of `case`, so that it sits where the wide
+/// fill lexes off the tapes (a batch stops short of the last bytes of the
+/// window, which always go to the scalar step) and meets the name memo
+/// warm: stage 2 only emits a name the memo already holds, so a wrong tape
+/// token shows only once its name was resolved before. The last copy comes
+/// more than a batch later, where a fresh batch's branch-free pass reaches
+/// it before any failure sends the batch token by token.
+fn embedded(case: &[u8]) -> Vec<u8> {
+    let filler: &[u8] = b"<doc> w0 <t1>w1 w2</t1> <t2>w3</t2> w4 ";
+    let mut doc = filler.to_vec();
+    for _ in 0..2 {
+        doc.extend_from_slice(case);
+        doc.push(b' ');
+    }
+    while doc.len() < BATCH + 200 {
+        doc.extend_from_slice(filler);
+    }
+    doc.extend_from_slice(case);
+    doc.extend_from_slice(b" w5 <t3>w6</t3> w7 w8 <t4>w9</t4> w10 w11 w12 </doc>");
+    doc
+}
+
+/// Every offset of a block and of a batch edge: a short run of tokens is
+/// slid across the first 64-byte block boundary and across the end of the
+/// first 4 KiB stage-1 batch, one byte at a time. The batch-edge documents
+/// carry a tail long enough that the first batch is a whole one.
+#[test]
+fn tokens_straddle_every_block_and_batch_offset() {
+    let run = b"<abc>defg</abc> hij<k>lm</k>";
+    let tail = " w <t>x</t>".repeat(40);
+    under_each_backend(|| {
+        for shift in 0..64usize {
+            let mut doc = Vec::from(&b"<r>"[..]);
+            doc.resize(3 + shift, b' ');
+            doc.extend_from_slice(run);
+            doc.extend_from_slice(tail.as_bytes());
+            doc.extend_from_slice(b"</r>");
+            assert_equivalent(&doc, &format!("block shift {shift}"));
+        }
+        for shift in 0..64usize {
+            let mut doc = Vec::from(&b"<r>"[..]);
+            doc.resize(BATCH - 32 + shift, b' ');
+            doc.extend_from_slice(run);
+            doc.extend_from_slice(tail.as_bytes());
+            doc.extend_from_slice(b"</r>");
+            let expected = reference(&doc, doc.len());
+            for batch in [3, 1024] {
+                assert_eq!(
+                    bulk_fill(&doc, doc.len(), batch),
+                    expected,
+                    "batch edge shift {shift}, fill batch {batch}"
+                );
+            }
+            assert_eq!(
+                bulk_iter(&doc, doc.len()),
+                expected,
+                "batch edge shift {shift}"
+            );
+        }
+        // A whole batch of whitespace, then tokens.
+        let mut doc = Vec::from(&b"<r>"[..]);
+        doc.resize(BATCH + 500, b' ');
+        doc.extend_from_slice(run);
+        doc.extend_from_slice(tail.as_bytes());
+        doc.extend_from_slice(b"</r>");
+        assert_equivalent(&doc, "whitespace-only batch");
+    });
+}
+
+/// The documents where the masks' token boundaries and the lexer's part
+/// ways — text holding `>`, a tag holding `<`, empty names, attributes —
+/// plus text straight after `>`, names of 16 and 17 bytes, and control
+/// characters and NBSP inside text: each alone and embedded deep enough to
+/// reach the tapes.
+#[test]
+fn tape_edge_documents_match_char_lexer() {
+    let cases: &[&[u8]] = &[
+        b"a>b",
+        b"<a<b>",
+        b"<>",
+        b"</>",
+        b"<a b>",
+        b"<a>text</a>",
+        b"<a>>x</a>",
+        b"a> b",
+        b"<abcdefghijklmnop>abcdefghijklmnop</abcdefghijklmnop>",
+        b"<abcdefghijklmnopq>abcdefghijklmnopq</abcdefghijklmnopq>",
+        b"<a>ab\x01cd\x7f e\x1f</a>",
+        b"<a\x01b>x</a\x01b>",
+        "<a>ab\u{a0}cd \u{a0}ef\u{a0} gh</a>".as_bytes(),
+        "<a>x\u{a0}<b>y</b></a>".as_bytes(),
+        b"<a/>",
+        b"<a />",
+        b"<!-- c --><a>x</a>",
+        b"<?pi x?>y",
+        b"<a x='1'>t</a>",
+        b"<a \"q\">",
+        b"</a b>",
+        // The name first as text, so the memo holds it when the tricky
+        // form arrives: each check of stage 2 is what stops these.
+        b"a> a>b",
+        b"a <ab c>",
+        b"a <ab<c>",
+        b"a/ <a/>",
+        b"!x <!x> y",
+        b"?x <?x?> y",
+        b"\"a <\"a> b\" c>",
+        b"x\"y <x\"y> z\" w>",
+        b"b <a>b<",
+    ];
+    under_each_backend(|| {
+        for (i, case) in cases.iter().enumerate() {
+            assert_equivalent(case, &format!("case {i} alone"));
+            assert_equivalent(&embedded(case), &format!("case {i} embedded"));
+        }
+    });
+}
+
+/// `fill` budgets of every size from 1 to past a batch's token count stop
+/// mid-batch and resume where they stopped.
+#[test]
+fn fill_budgets_stop_mid_batch() {
+    let doc = generate_plain(3_000, 21);
+    under_each_backend(|| {
+        let expected = reference(doc.as_bytes(), doc.len());
+        for batch in (1..=64).chain([100, 999, 1000, 1500, 4096]) {
+            assert_eq!(
+                bulk_fill(doc.as_bytes(), doc.len(), batch),
+                expected,
+                "fill batch {batch}"
+            );
+        }
+    });
+}
+
+/// A plain generated document: `<tN>` / `</tN>` tags and `wN` words.
+fn generate_plain(events: usize, seed: u64) -> String {
+    let (ab, doc) = nwa_xml::generate::generate_document(
+        nwa_xml::generate::DocumentConfig {
+            events,
+            max_depth: 16,
+            ..Default::default()
+        },
+        seed,
+    );
+    nwa_xml::sax::to_xml(&doc, &ab)
+}
+
+/// A name missing from a frozen alphabet in the middle of a batch: the
+/// events before it come out in order and the error is the same as on the
+/// SWAR sweeps, through both entry points.
+#[test]
+fn unknown_name_mid_batch_keeps_order_and_error() {
+    let (ab, word) = nwa_xml::generate::generate_document(
+        nwa_xml::generate::DocumentConfig {
+            events: 2_000,
+            max_depth: 16,
+            ..Default::default()
+        },
+        5,
+    );
+    let plain = nwa_xml::sax::to_xml(&word, &ab);
+    let cut = plain.len() / 2;
+    let cut = cut + plain[cut..].find('<').expect("a tag after the middle");
+    let doc = format!("{} intruder {}", &plain[..cut], &plain[cut..]);
+    let frozen = |chunk: usize, batch: Option<usize>| {
+        let mut tok = FrozenByteTokenizer::new(SplitReader::new(doc.as_bytes(), chunk), &ab);
+        match batch {
+            None => drain(tok),
+            Some(batch) => {
+                let mut events = Vec::new();
+                let err = loop {
+                    let before = events.len();
+                    match tok.fill(&mut events, before + batch) {
+                        Ok(()) if events.len() == before => break None,
+                        Ok(()) => {}
+                        Err(e) => break Some(format!("{e:?}")),
+                    }
+                };
+                (events, err)
+            }
+        }
+    };
+    let expected_err = format!(
+        "{:?}",
+        SaxError::Syntax(NestedWordError::UnknownSymbol {
+            name: "intruder".into()
+        })
+    );
+    let before: Vec<TaggedSymbol> = FrozenByteTokenizer::new(&plain.as_bytes()[..cut], &ab)
+        .collect::<Result<_, _>>()
+        .expect("the prefix is known");
+    under_each_backend(|| {
+        for (chunk, batch) in [
+            (doc.len(), None),
+            (7, None),
+            (doc.len(), Some(3)),
+            (doc.len(), Some(4096)),
+        ] {
+            let (events, err) = frozen(chunk, batch);
+            assert_eq!(
+                err.as_deref(),
+                Some(expected_err.as_str()),
+                "chunk {chunk} batch {batch:?}"
+            );
+            assert_eq!(events, before, "chunk {chunk} batch {batch:?}");
+        }
+    });
+}
+
+// --------------------------------------------------------------------------
+// Scanner counters
+// --------------------------------------------------------------------------
+
+/// Runs `doc` through a frozen tokenizer in `EVENT_SLICE` fills and returns
+/// its counters, checking them against the events actually produced.
+fn counted(doc: &[u8], ab: &Alphabet) -> nwa_xml::scan::ScanStats {
+    let mut tok = FrozenByteTokenizer::new(doc, ab);
+    let mut buf = Vec::new();
+    let mut events = 0u64;
+    loop {
+        buf.clear();
+        tok.fill(&mut buf, nwa_xml::queries::EVENT_SLICE)
+            .expect("generated XML tokenizes");
+        if buf.is_empty() {
+            break;
+        }
+        events += buf.len() as u64;
+    }
+    let stats = tok.stats();
+    assert_eq!(stats.events, events, "events counter");
+    assert_eq!(stats.bytes, doc.len() as u64, "bytes counter");
+    stats
+}
+
+/// `ByteTokenizer::stats` against ground truth: every event is a scalar
+/// one on forced SWAR; the wide backend lexes a plain document off the
+/// tapes but for a few tokens per window; on a decorated one, every
+/// attributed tag and the token after every comment take a scalar path.
+#[test]
+fn scan_counters_match_ground_truth() {
+    use nwa_xml::scan::SCAN_CHUNK;
+
+    let (ab, word) = nwa_xml::generate::generate_document(
+        nwa_xml::generate::DocumentConfig {
+            events: 100_000,
+            max_depth: 32,
+            ..Default::default()
+        },
+        7,
+    );
+    let plain = nwa_xml::sax::to_xml(&word, &ab);
+    // Decorated: attributes on every fifth open tag, and a comment before
+    // every 50th text token (so a plain text token follows each one).
+    let mut decorated = String::new();
+    let (mut attributed, mut comments) = (0u64, 0u64);
+    for (i, t) in word.to_tagged().into_iter().enumerate() {
+        let name = ab.name(t.symbol()).expect("own symbol");
+        match t {
+            TaggedSymbol::Call(_) if i % 5 == 0 => {
+                attributed += 1;
+                decorated.push_str(&format!("<{name} id=\"n{i}\" lang='en'>"));
+            }
+            TaggedSymbol::Call(_) => decorated.push_str(&format!("<{name}>")),
+            TaggedSymbol::Return(_) => decorated.push_str(&format!("</{name}>")),
+            TaggedSymbol::Internal(_) => {
+                if i % 50 == 0 {
+                    comments += 1;
+                    decorated.push_str("<!-- no events here -->");
+                }
+                decorated.push(' ');
+                decorated.push_str(name);
+            }
+        }
+    }
+    let events = word.len() as u64;
+
+    let _guard = backend_lock();
+    assert!(force_scan_backend(ScanBackend::Swar));
+    for doc in [&plain, &decorated] {
+        let stats = counted(doc.as_bytes(), &ab);
+        assert_eq!(stats.backend, ScanBackend::Swar);
+        assert_eq!(stats.events, events);
+        assert_eq!(
+            stats.scalar_tokens, stats.events,
+            "SWAR lexes every token scalar"
+        );
+    }
+    if let Some(wide) = detected_wide() {
+        assert!(force_scan_backend(wide));
+        let stats = counted(plain.as_bytes(), &ab);
+        assert_eq!(stats.backend, wide);
+        let windows = plain.len().div_ceil(SCAN_CHUNK) as u64;
+        assert!(
+            stats.scalar_tokens <= 16 * windows,
+            "plain document: {} scalar tokens over {windows} windows",
+            stats.scalar_tokens
+        );
+        let stats = counted(decorated.as_bytes(), &ab);
+        assert!(
+            stats.scalar_tokens >= attributed + comments,
+            "decorated document: {} scalar tokens for {attributed} attributed tags and {comments} comments",
+            stats.scalar_tokens
+        );
+        assert!(
+            stats.scalar_tokens < stats.events / 2,
+            "the tapes still lex most tokens"
+        );
+    }
+    auto_scan_backend();
+}

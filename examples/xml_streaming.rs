@@ -12,9 +12,9 @@
 use nested_words_suite::nwa_xml::generate::{generate_document, DocumentConfig};
 use nested_words_suite::nwa_xml::queries::{
     contains_tag_nwa, depth_at_most_nwa, patterns_in_order_nwa, run_streaming,
-    run_streaming_reader, run_streaming_text,
+    run_streaming_reader, run_streaming_text, EVENT_SLICE,
 };
-use nested_words_suite::nwa_xml::sax::{parse_document, to_xml};
+use nested_words_suite::nwa_xml::sax::{parse_document, to_xml, FrozenByteTokenizer};
 use nested_words_suite::nwa_xml::scan;
 use nested_words_suite::prelude::*;
 use nested_words_suite::query;
@@ -121,6 +121,20 @@ fn main() {
         mb_s,
         scan::scan_backend()
     );
+
+    // The scanner's own counters for one pass over the same bytes: how many
+    // events the scalar paths lexed (all of them on SWAR; on a wide backend
+    // only window seams and complex tokens) and which backend ran.
+    let mut tokenizer = FrozenByteTokenizer::new(xml.as_bytes(), &gen_ab);
+    let mut slice = Vec::with_capacity(EVENT_SLICE);
+    loop {
+        slice.clear();
+        tokenizer.fill(&mut slice, EVENT_SLICE).unwrap();
+        if slice.is_empty() {
+            break;
+        }
+    }
+    println!("scanner counters: {}", tokenizer.stats());
 
     // The same events drive a nondeterministic automaton through the same
     // trait: the on-the-fly subset construction keeps one summary per open
